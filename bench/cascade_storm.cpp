@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/runner.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "mesh/read_view.hpp"
@@ -35,32 +36,8 @@
 namespace {
 
 using namespace hs;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::size_t line = 1;
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  while (from_a < a.size() && from_b < b.size()) {
-    const std::size_t end_a = a.find('\n', from_a);
-    const std::size_t end_b = b.find('\n', from_b);
-    const std::string la = a.substr(from_a, end_a - from_a);
-    const std::string lb = b.substr(from_b, end_b - from_b);
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    if (end_a == std::string::npos || end_b == std::string::npos) break;
-    from_a = end_a + 1;
-    from_b = end_b + 1;
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
-}
+using bench::report_diff;
+using bench::seconds_since;
 
 double gauge_value(const obs::MetricsSnapshot& snap, const char* name) {
   const obs::SnapshotEntry* e = snap.find(name);

@@ -12,51 +12,22 @@
 // determinism smoke (scripts/ci.sh runs 8 habitats). An optional fourth
 // argument writes the (verified-identical) campaign dump to a file.
 //
-// --analyze additionally runs each habitat's offline analysis pipeline
-// (CampaignOptions::analyze) and times two more passes — row-wise and
-// columnar analysis at threads=1 — showing the fleet-level habitats/sec
-// win of the columnar RecordBatch layout (docs/PERFORMANCE.md). Those
-// two dumps must also be byte-identical: the columnar ≡ row-wise
-// contract, checked at fleet scale.
+// --analyze runs each habitat's offline analysis pipeline too
+// (CampaignOptions::analyze), so the same two passes also time the
+// analysis and byte-compare its rolled-up pipeline.* metrics and
+// records_analyzed.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "bench_common.hpp"
 #include "fleet/fleet_runner.hpp"
 #include "util/thread_pool.hpp"
 
-namespace {
-
 using namespace hs;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::size_t line = 1;
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  while (from_a < a.size() && from_b < b.size()) {
-    const std::size_t end_a = a.find('\n', from_a);
-    const std::size_t end_b = b.find('\n', from_b);
-    const std::string la = a.substr(from_a, end_a - from_a);
-    const std::string lb = b.substr(from_b, end_b - from_b);
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    if (end_a == std::string::npos || end_b == std::string::npos) break;
-    from_a = end_a + 1;
-    from_b = end_b + 1;
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
-}
-
-}  // namespace
+using bench::report_diff;
+using bench::seconds_since;
 
 int main(int argc, char** argv) {
   bool analyze = false;
@@ -85,14 +56,15 @@ int main(int argc, char** argv) {
   spec.faults = {"none", "battery-stress", "mesh-partition", "none", "combined"};
 
   const unsigned hw = util::resolve_threads(0);
-  std::printf("# fleet_scale: %d habitats x %d day(s), seed %llu, hw threads %u\n", habitats, days,
-              static_cast<unsigned long long>(seed), hw);
+  std::printf("# fleet_scale: %d habitats x %d day(s)%s, seed %llu, hw threads %u\n", habitats,
+              days, analyze ? " with analysis" : "", static_cast<unsigned long long>(seed), hw);
   std::printf("%-12s %10s %14s %18s\n", "threads", "wall_s", "habitats/s", "agg_records/s");
 
   std::string dumps[2];
   for (int pass = 0; pass < 2; ++pass) {
     fleet::CampaignOptions options;
     options.threads = pass == 0 ? 1 : hw;
+    options.analyze = analyze;
     const auto start = std::chrono::steady_clock::now();
     auto result = fleet::run_campaign(spec, options);
     const double wall = seconds_since(start);
@@ -108,6 +80,10 @@ int main(int argc, char** argv) {
       std::printf("# fleet: %zu habitats, %llu alerts, %llu dark badges, ack p99 %.1fs\n",
                   result->habitats, static_cast<unsigned long long>(result->alerts_total),
                   static_cast<unsigned long long>(result->dark_badges), result->ack_latency.p99);
+      if (analyze) {
+        std::printf("# analyzed %llu records\n",
+                    static_cast<unsigned long long>(result->records_analyzed));
+      }
     }
   }
 
@@ -120,37 +96,6 @@ int main(int argc, char** argv) {
   std::printf("# campaign dump byte-identical across thread counts (%zu bytes)\n",
               dumps[0].size());
 
-  if (analyze) {
-    // Two more serial passes with per-habitat analysis: row-wise vs
-    // columnar. Equal dumps (including the rolled-up pipeline.* metrics
-    // and records_analyzed) are the fleet-level columnar ≡ row-wise
-    // contract; the habitats/sec delta is the fleet-level win.
-    std::string analyzed[2];
-    for (int pass = 0; pass < 2; ++pass) {
-      fleet::CampaignOptions options;
-      options.threads = 1;
-      options.analyze = true;
-      options.columnar = pass == 1;
-      const auto start = std::chrono::steady_clock::now();
-      auto result = fleet::run_campaign(spec, options);
-      const double wall = seconds_since(start);
-      if (!result.has_value()) {
-        std::fprintf(stderr, "fleet_scale: %s\n", result.error().message.c_str());
-        return 1;
-      }
-      analyzed[pass] = result->to_csv();
-      std::printf("%-12s %10.2f %14.2f %18.0f\n", pass == 0 ? "row-wise" : "columnar", wall,
-                  static_cast<double>(habitats) / wall,
-                  static_cast<double>(result->records_analyzed) / wall);
-    }
-    if (analyzed[0] != analyzed[1]) {
-      std::fprintf(stderr, "fleet_scale: campaign dump differs between row-wise and columnar\n");
-      report_diff(analyzed[0], analyzed[1]);
-      return 1;
-    }
-    std::printf("# analyzed campaign dump byte-identical row-wise vs columnar (%zu bytes)\n",
-                analyzed[0].size());
-  }
   if (dump_path != nullptr) {
     std::FILE* out = std::fopen(dump_path, "w");
     if (out == nullptr) {

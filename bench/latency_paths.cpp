@@ -25,7 +25,6 @@
 // (BENCH_latency.json) by more than 10 %. The baseline only gates when
 // its (seed, days) match the run. --write-baseline regenerates it.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,9 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
 #include "faults/fault_plan.hpp"
+#include "fleet/aggregator.hpp"
 #include "fleet/campaign.hpp"
 #include "mesh/read_view.hpp"
 #include "obs/trace_query.hpp"
@@ -48,6 +49,8 @@
 namespace {
 
 using namespace hs;
+using bench::find_number;
+using bench::report_diff;
 
 constexpr const char* kScenarios[] = {"mesh-partition", "cascade-storm"};
 constexpr double kGateFactor = 1.10;  ///< >10 % p99 regression -> exit 2
@@ -123,32 +126,6 @@ PassResult run_pass(const std::string& scenario, std::uint64_t seed, int days, u
   return out;
 }
 
-/// Nearest-rank percentile of a sorted-on-demand copy; 0.0 when empty.
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank > 0 ? rank - 1 : 0)];
-}
-
-void report_diff(const std::string& a, const std::string& b) {
-  std::istringstream ia(a);
-  std::istringstream ib(b);
-  std::string la;
-  std::string lb;
-  std::size_t line = 1;
-  while (std::getline(ia, la) && std::getline(ib, lb)) {
-    if (la != lb) {
-      std::fprintf(stderr, "first diff at line %zu:\n  threads=1:  %s\n  threads=hw: %s\n", line,
-                   la.c_str(), lb.c_str());
-      return;
-    }
-    ++line;
-  }
-  std::fprintf(stderr, "dumps diverge in length (%zu vs %zu bytes)\n", a.size(), b.size());
-}
-
 struct ScenarioStats {
   std::string name;
   std::size_t offload_count = 0;
@@ -191,17 +168,6 @@ std::string baseline_json(std::uint64_t seed, int days, const std::vector<Scenar
   }
   out += "  ]\n}\n";
   return out;
-}
-
-/// Extract `"key": <number>` after `from` in a flat JSON dump. The
-/// baseline is machine-written by --write-baseline, so substring
-/// extraction is deliberate — no JSON library in the bench layer.
-bool find_number(const std::string& text, const std::string& key, std::size_t from, double& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos) return false;
-  out = std::strtod(text.c_str() + at + needle.size(), nullptr);
-  return true;
 }
 
 }  // namespace
@@ -291,12 +257,14 @@ int main(int argc, char** argv) {
 
     ScenarioStats s;
     s.name = name;
-    s.offload_count = full.latencies.offload_to_ack_s.size();
-    s.offload_p50 = percentile(full.latencies.offload_to_ack_s, 50.0);
-    s.offload_p99 = percentile(full.latencies.offload_to_ack_s, 99.0);
-    s.record_count = full.latencies.record_to_raise_s.size();
-    s.record_p50 = percentile(full.latencies.record_to_raise_s, 50.0);
-    s.record_p99 = percentile(full.latencies.record_to_raise_s, 99.0);
+    const fleet::DistStats offload = fleet::dist_stats(full.latencies.offload_to_ack_s);
+    const fleet::DistStats record = fleet::dist_stats(full.latencies.record_to_raise_s);
+    s.offload_count = offload.count;
+    s.offload_p50 = offload.p50;
+    s.offload_p99 = offload.p99;
+    s.record_count = record.count;
+    s.record_p50 = record.p50;
+    s.record_p99 = record.p99;
     std::printf("%-16s offload->ack n=%-6zu p50 %8.1fs p99 %8.1fs | "
                 "record->raise n=%-4zu p50 %8.1fs p99 %8.1fs\n",
                 name, s.offload_count, s.offload_p50, s.offload_p99, s.record_count,

@@ -13,26 +13,19 @@
 //      published at node 0, measuring rounds until every node holds it.
 //
 // docs/MESH.md discusses the trade-offs these numbers quantify.
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/read_view.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
 using namespace hs;
 
 constexpr int kDays = 2;
-
-double percentile(std::vector<double>& v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(p * (v.size() - 1));
-  return v[idx];
-}
 
 void run_mission_config(std::uint64_t seed, int fanout, int period_s, int k, bool cap) {
   core::MissionConfig config;
@@ -76,7 +69,7 @@ void run_mission_config(std::uint64_t seed, int fanout, int period_s, int k, boo
           ? static_cast<double>(s.replication_bytes + s.digest_bytes) / s.offload_bytes
           : 0.0;
   std::printf("%6d %8d %2d %-4s | %7.0f %7.0f | %12llu %6d | %8.2f %10.1f\n", fanout, period_s,
-              k, cap ? "cap" : "full", percentile(ack_s, 0.5), percentile(ack_s, 0.95),
+              k, cap ? "cap" : "full", hs::percentile(ack_s, 50.0), hs::percentile(ack_s, 95.0),
               static_cast<unsigned long long>(s.chunks_replicated), extra_rounds, overhead,
               static_cast<double>(store_bytes) / (1024.0 * 1024.0));
 }

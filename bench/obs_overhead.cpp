@@ -21,22 +21,20 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_common.hpp"
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
 #include "obs/obs.hpp"
 
 namespace {
 
-double now_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using hs::bench::seconds_since;
 
 /// One full instrumented workload: mission, pipeline, dump. Returns
 /// (seconds, dump size) — the dump size is printed so the work cannot be
 /// elided and so on/off builds show what the layer actually produced.
 std::pair<double, std::size_t> run_workload(std::uint64_t seed) {
-  const double t0 = now_s();
+  const auto t0 = std::chrono::steady_clock::now();
   hs::core::MissionConfig config;
   config.seed = seed;
   config.mesh.enabled = true;  // exercise the mesh hot paths too
@@ -48,7 +46,7 @@ std::pair<double, std::size_t> run_workload(std::uint64_t seed) {
   const hs::core::AnalysisPipeline pipeline(data, opts);
   (void)pipeline.artifacts();
   const hs::core::MissionReport report = runner.report();
-  return {now_s() - t0,
+  return {seconds_since(t0),
           report.metrics_csv.size() + report.flight_log_csv.size() + report.trace_csv.size()};
 }
 
@@ -62,32 +60,32 @@ void micro_costs() {
   // The empty asm is a compiler barrier: without it the whole loop folds
   // into one addition and the "cost" prints as 0.
   constexpr int kIncs = 50'000'000;
-  double t0 = now_s();
+  auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kIncs; ++i) {
     c.inc();
     asm volatile("" ::: "memory");
   }
-  const double inc_ns = (now_s() - t0) * 1e9 / kIncs;
+  const double inc_ns = seconds_since(t0) * 1e9 / kIncs;
 
   constexpr int kObs = 10'000'000;
-  t0 = now_s();
+  t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kObs; ++i) {
     h.observe(static_cast<double>(i % 2000));
     asm volatile("" ::: "memory");
   }
-  const double obs_ns = (now_s() - t0) * 1e9 / kObs;
+  const double obs_ns = seconds_since(t0) * 1e9 / kObs;
 
   // Span emission: id mix + struct push into pre-reserved storage. Far
   // heavier than inc(), but it runs per mission event, not per record.
   hs::obs::Tracer tracer(42);
   const hs::obs::TraceId trace = tracer.chunk_trace(0, 0);
   constexpr int kEmits = 5'000'000;
-  t0 = now_s();
+  t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kEmits; ++i) {
     tracer.emit(trace, hs::obs::SpanKind::kChunkOffload, hs::obs::Subsys::kMesh, i, i, 0, 0, i);
     asm volatile("" ::: "memory");
   }
-  const double emit_ns = (now_s() - t0) * 1e9 / kEmits;
+  const double emit_ns = seconds_since(t0) * 1e9 / kEmits;
 
   volatile std::uint64_t sink = c.value() + h.count() + tracer.total_emitted();
   (void)sink;

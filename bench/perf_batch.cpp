@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/record_batch.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -26,11 +27,7 @@
 namespace {
 
 using namespace hs;
-
-double now_s() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::seconds_since;
 
 /// Best-of-reps wall time for `fn`, with a volatile sink so the compiler
 /// cannot drop the work.
@@ -39,9 +36,9 @@ double best_of(int reps, Fn&& fn) {
   volatile std::size_t sink = 0;
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
-    const double t0 = now_s();
+    const auto t0 = std::chrono::steady_clock::now();
     sink = sink + fn();
-    const double dt = now_s() - t0;
+    const double dt = seconds_since(t0);
     if (dt < best) best = dt;
   }
   (void)sink;

@@ -1,39 +1,43 @@
-// Analysis-pipeline throughput: row-wise vs columnar, serial vs parallel.
+// Analysis-pipeline throughput, serial vs parallel, gated on an absolute
+// records/sec baseline.
 //
 // Two modes:
 //
 //   perf_pipeline [seed] [threads] [reps]
 //     Runs the canonical ICAres-1 mission once, then times the complete
 //     analysis — AnalysisPipeline construction (rectify + attribute +
-//     derive) plus artifacts() (every paper figure/table) — for the
-//     row-wise and columnar paths at threads=1 and threads=N, printing
-//     records/sec and the speedups. The gate compares the three runs'
-//     artifact sets (including the full Fig. 3 grids) and their
-//     metrics/trace dumps byte-for-byte: any divergence exits 1, and a
-//     columnar full-analysis slowdown >10% vs row-wise exits 2 — the
-//     CI smoke scripts/ci.sh runs per push.
+//     derive) plus artifacts() (every paper figure/table) — at threads=1
+//     and threads=N, best of `reps`, printing records/sec and the thread
+//     speedup. Every artifact field (Fig. 2 cells, Fig. 3 grids, Fig. 4/6
+//     series, Table I rows, dataset, dwell, pair and survey statistics)
+//     and the metrics/trace dumps must be equal serial vs parallel; any
+//     difference exits 1. When BENCH_pipeline.json (read from the working
+//     directory) holds a mission baseline for this seed, serial
+//     records/sec more than 25 % below it exits 2. scripts/ci.sh runs
+//     this mode per push.
 //
 //   perf_pipeline --large [records] [reps] [seed]
 //     Builds a synthetic dataset of ~`records` records (default one
 //     million: 6 badges x 13 instrumented days x 3 streams at an even
 //     cadence inside 08:00-22:00 worn windows) and times pipeline
-//     construction only — the attribute/derive hot path the columnar
-//     RecordBatch layout targets — for both paths at threads=1. Derived
-//     outputs (tracks, speech intervals, Fig. 4 walking) are compared
-//     exactly; a divergence exits 1 and a columnar slowdown >10% exits 2.
+//     construction only — the attribute/derive hot path the RecordBatch
+//     layout targets — at threads=1, best of `reps`. The derived outputs
+//     (tracks, speech intervals, Fig. 4 walking) of a threads=4 pipeline
+//     must equal the serial ones; a difference exits 1.
 //     docs/PERFORMANCE.md explains how to read the output.
 //
 // Note: thread speedup is bounded by the host's core count — on a
 // single-core container threads=N times the same work and the ratio
-// prints ~1.0x. The columnar-vs-row-wise ratio is layout-bound, not
-// core-bound, and holds on one core.
+// prints ~1.0x.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
-
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "obs/metrics.hpp"
@@ -42,40 +46,47 @@
 
 namespace {
 
+using hs::bench::report_diff;
+using hs::bench::seconds_since;
 using hs::core::AnalysisPipeline;
 using hs::core::PipelineOptions;
+
+constexpr const char* kBaselinePath = "BENCH_pipeline.json";
+/// Serial records/sec below this fraction of the baseline exits 2. The
+/// same 25 % bound as BENCHMARK.json: identical work moves 10-30 %
+/// between processes on a shared host.
+constexpr double kGateFloor = 0.75;
 
 struct Timed {
   double seconds = 0.0;
   AnalysisPipeline::Artifacts artifacts;
   /// Deterministic observability dumps (empty under HS_OBS_ENABLED=OFF,
-  /// identically for every configuration, so the byte-compare still holds).
+  /// identically for every thread count, so the byte-compare still holds).
   std::string metrics_csv;
   std::string trace_csv;
 };
 
-Timed run_full(const hs::core::Dataset& data, unsigned threads, bool columnar) {
+Timed run_full(const hs::core::Dataset& data, unsigned threads) {
   hs::obs::Registry registry;
   hs::obs::Tracer tracer;
   const auto t0 = std::chrono::steady_clock::now();
   PipelineOptions opts;
   opts.threads = threads;
-  opts.columnar = columnar;
   opts.metrics = &registry;
   opts.tracer = &tracer;
   const AnalysisPipeline pipeline(data, opts);
   Timed out;
   out.artifacts = pipeline.artifacts();
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  out.seconds = seconds_since(t0);
   out.metrics_csv = registry.snapshot().to_csv();
   out.trace_csv = tracer.to_csv();
   return out;
 }
 
-Timed best_full(const hs::core::Dataset& data, unsigned threads, bool columnar, int reps) {
-  Timed best = run_full(data, threads, columnar);
+Timed best_full(const hs::core::Dataset& data, unsigned threads, int reps) {
+  Timed best = run_full(data, threads);
   for (int r = 1; r < reps; ++r) {
-    Timed t = run_full(data, threads, columnar);
+    Timed t = run_full(data, threads);
     if (t.seconds < best.seconds) best = std::move(t);
   }
   return best;
@@ -85,37 +96,47 @@ bool series_equal(const AnalysisPipeline::DailySeries& a, const AnalysisPipeline
   return a.first_day == b.first_day && a.values == b.values;
 }
 
-/// Exact comparison of the figure/table set (the determinism test holds
-/// the exhaustive bit-identity suite; this is the bench's own gate).
-/// Fig. 3 is compared cell-by-cell: the heatmap consumes the triangulator
-/// output, so a drifting column-slice fix surfaces here first.
-bool fig3_equal(const std::vector<hs::locate::HeatmapAccumulator>& a,
-                const std::vector<hs::locate::HeatmapAccumulator>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].total_seconds() != b[i].total_seconds()) return false;
-    if (a[i].grid_rows() != b[i].grid_rows()) return false;
+/// Names of the artifact fields that differ between `a` and `b`, compared
+/// exactly: every cell, grid, series value, row field and statistic.
+std::vector<std::string> artifact_diffs(const AnalysisPipeline::Artifacts& a,
+                                        const AnalysisPipeline::Artifacts& b) {
+  std::vector<std::string> diffs;
+  const auto check = [&diffs](const char* name, bool same) {
+    if (!same) diffs.emplace_back(name);
+  };
+  check("fig2", a.fig2.counts() == b.fig2.counts());
+  bool fig3 = a.fig3.size() == b.fig3.size();
+  for (std::size_t i = 0; fig3 && i < a.fig3.size(); ++i) {
+    fig3 = a.fig3[i].total_seconds() == b.fig3[i].total_seconds() &&
+           a.fig3[i].grid_rows() == b.fig3[i].grid_rows();
   }
-  return true;
-}
-
-bool artifacts_equal(const AnalysisPipeline::Artifacts& a, const AnalysisPipeline::Artifacts& b) {
-  bool same = a.fig2.total() == b.fig2.total() && fig3_equal(a.fig3, b.fig3) &&
-              a.dataset.total_records == b.dataset.total_records &&
-              a.dataset.total_gib == b.dataset.total_gib &&
-              a.dataset.worn_of_daytime == b.dataset.worn_of_daytime &&
-              series_equal(a.fig4, b.fig4) && series_equal(a.fig6, b.fig6) &&
-              a.dwell.typical_biolab_h == b.dwell.typical_biolab_h &&
-              a.pairs.af_meetings_h == b.pairs.af_meetings_h &&
-              a.survey.wellbeing_speech_corr == b.survey.wellbeing_speech_corr &&
-              a.table1.size() == b.table1.size();
-  for (std::size_t i = 0; same && i < a.table1.size(); ++i) {
-    same = a.table1[i].company == b.table1[i].company &&
-           a.table1[i].authority == b.table1[i].authority &&
-           a.table1[i].talking == b.table1[i].talking &&
-           a.table1[i].walking == b.table1[i].walking;
+  check("fig3", fig3);
+  check("fig4", series_equal(a.fig4, b.fig4));
+  check("fig6", series_equal(a.fig6, b.fig6));
+  bool table1 = a.table1.size() == b.table1.size();
+  for (std::size_t i = 0; table1 && i < a.table1.size(); ++i) {
+    const auto& x = a.table1[i];
+    const auto& y = b.table1[i];
+    table1 = x.id == y.id && x.has_social == y.has_social && x.company == y.company &&
+             x.authority == y.authority && x.talking == y.talking && x.walking == y.walking;
   }
-  return same;
+  check("table1", table1);
+  check("dataset", a.dataset.total_gib == b.dataset.total_gib &&
+                       a.dataset.worn_of_daytime == b.dataset.worn_of_daytime &&
+                       a.dataset.active_of_daytime == b.dataset.active_of_daytime &&
+                       a.dataset.worn_by_day == b.dataset.worn_by_day &&
+                       a.dataset.total_records == b.dataset.total_records);
+  check("dwell", a.dwell.typical_biolab_h == b.dwell.typical_biolab_h &&
+                     a.dwell.typical_office_h == b.dwell.typical_office_h &&
+                     a.dwell.typical_workshop_h == b.dwell.typical_workshop_h);
+  check("pairs", a.pairs.af_private_h == b.pairs.af_private_h &&
+                     a.pairs.de_private_h == b.pairs.de_private_h &&
+                     a.pairs.af_meetings_h == b.pairs.af_meetings_h &&
+                     a.pairs.de_meetings_h == b.pairs.de_meetings_h);
+  check("survey", a.survey.wellbeing_speech_corr == b.survey.wellbeing_speech_corr &&
+                      a.survey.comfort_slope_per_day == b.survey.comfort_slope_per_day &&
+                      a.survey.responses == b.survey.responses);
+  return diffs;
 }
 
 std::size_t dataset_records(const hs::core::Dataset& data) {
@@ -192,18 +213,21 @@ struct Assembled {
   std::vector<std::vector<hs::locate::RoomStay>> tracks;
   std::vector<std::vector<hs::dsp::SpeechInterval>> speech;
   AnalysisPipeline::DailySeries fig4;
+
+  [[nodiscard]] bool operator==(const Assembled& o) const {
+    return tracks == o.tracks && speech == o.speech && series_equal(fig4, o.fig4);
+  }
 };
 
 /// Time pipeline construction only (the attribute/derive hot path), then
 /// pull the derived outputs for the equality gate (untimed).
-Assembled assemble_once(const hs::core::Dataset& data, bool columnar) {
+Assembled assemble_once(const hs::core::Dataset& data, unsigned threads) {
   const auto t0 = std::chrono::steady_clock::now();
   PipelineOptions opts;
-  opts.threads = 1;
-  opts.columnar = columnar;
+  opts.threads = threads;
   const AnalysisPipeline pipeline(data, opts);
   Assembled out;
-  out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  out.seconds = seconds_since(t0);
   out.tracks = pipeline.tracks();
   for (std::size_t i = 0; i < hs::crew::kCrewSize; ++i) {
     out.speech.push_back(pipeline.speech_intervals(i));
@@ -220,26 +244,43 @@ int run_large(std::size_t records, int reps, std::uint64_t seed) {
   std::printf("built %zu records across %zu badges\n", total, data.logs.size());
   std::printf("timing pipeline construction (rectify+attribute+derive), best of %d\n\n", reps);
 
-  Assembled row = assemble_once(data, /*columnar=*/false);
-  Assembled col = assemble_once(data, /*columnar=*/true);
-  const bool same = row.tracks == col.tracks && row.speech == col.speech &&
-                    series_equal(row.fig4, col.fig4);
+  Assembled serial = assemble_once(data, 1);
   for (int r = 1; r < reps; ++r) {
-    Assembled t = assemble_once(data, /*columnar=*/false);
-    if (t.seconds < row.seconds) row = std::move(t);
-    t = assemble_once(data, /*columnar=*/true);
-    if (t.seconds < col.seconds) col = std::move(t);
+    Assembled t = assemble_once(data, 1);
+    if (t.seconds < serial.seconds) serial = std::move(t);
   }
+  const bool same = serial == assemble_once(data, 4);
+  std::printf("  threads=1  %8.3f s  %12.0f records/s\n", serial.seconds,
+              static_cast<double>(total) / serial.seconds);
+  std::printf("  threads=1 == threads=4: %s\n", same ? "ok" : "MISMATCH");
+  return same ? 0 : 1;
+}
 
-  const double row_rate = static_cast<double>(total) / row.seconds;
-  const double col_rate = static_cast<double>(total) / col.seconds;
-  std::printf("  row-wise  %8.3f s  %12.0f records/s\n", row.seconds, row_rate);
-  std::printf("  columnar  %8.3f s  %12.0f records/s\n", col.seconds, col_rate);
-  std::printf("\n  columnar speedup: %.2fx\n", row.seconds / col.seconds);
-  std::printf("  columnar == row-wise: %s\n", same ? "ok" : "MISMATCH");
-  if (!same) return 1;
-  if (col.seconds > row.seconds * 1.1) {
-    std::printf("  REGRESSION: columnar slower than row-wise by >10%%\n");
+/// Gate serial records/sec against the mission baseline for `seed`.
+/// Returns 2 on a regression past the floor, 0 otherwise (including when
+/// there is no baseline for this seed).
+int gate_on_baseline(std::uint64_t seed, double serial_rate) {
+  std::ifstream in(kBaselinePath, std::ios::binary);
+  if (!in) {
+    std::printf("  no %s in the working directory; not gating\n", kBaselinePath);
+    return 0;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  double base_seed = -1.0;
+  double base_rate = 0.0;
+  if (!hs::bench::find_number(text.str(), "seed", 0, base_seed) ||
+      !hs::bench::find_number(text.str(), "serial_records_per_s", 0, base_rate) ||
+      base_seed != static_cast<double>(seed) || base_rate <= 0.0) {
+    std::printf("  %s has no mission baseline for seed %llu; not gating\n", kBaselinePath,
+                static_cast<unsigned long long>(seed));
+    return 0;
+  }
+  const double ratio = serial_rate / base_rate;
+  std::printf("  serial vs %s: %.0f records/s baseline, %.2fx (floor %.2fx)\n", kBaselinePath,
+              base_rate, ratio, kGateFloor);
+  if (ratio < kGateFloor) {
+    std::printf("  REGRESSION: serial analysis more than 25%% below the baseline\n");
     return 2;
   }
   return 0;
@@ -256,6 +297,7 @@ int main(int argc, char** argv) {
     return run_large(records, reps, seed);
   }
 
+  const std::uint64_t seed = hs::bench::seed_from_args(argc, argv);
   const auto data = hs::bench::run_mission(argc, argv);
   const unsigned threads =
       argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 4;
@@ -266,30 +308,25 @@ int main(int argc, char** argv) {
   std::printf("host hardware_concurrency: %u\n", std::thread::hardware_concurrency());
   std::printf("timing full analysis (pipeline + all artifacts), best of %d\n\n", reps);
 
-  const Timed row = best_full(data, 1, /*columnar=*/false, reps);
-  std::printf("  row-wise  threads=1   %8.3f s  %12.0f records/s\n", row.seconds,
-              static_cast<double>(total) / row.seconds);
-  const Timed col = best_full(data, 1, /*columnar=*/true, reps);
-  std::printf("  columnar  threads=1   %8.3f s  %12.0f records/s\n", col.seconds,
-              static_cast<double>(total) / col.seconds);
-  const Timed par = best_full(data, threads, /*columnar=*/true, reps);
-  std::printf("  columnar  threads=%-3u %8.3f s  %12.0f records/s\n", resolved, par.seconds,
+  const Timed serial = best_full(data, 1, reps);
+  const double serial_rate = static_cast<double>(total) / serial.seconds;
+  std::printf("  threads=1   %8.3f s  %12.0f records/s\n", serial.seconds, serial_rate);
+  const Timed par = best_full(data, threads, reps);
+  std::printf("  threads=%-3u %8.3f s  %12.0f records/s\n", resolved, par.seconds,
               static_cast<double>(total) / par.seconds);
-  std::printf("\n  columnar speedup (serial): %.2fx\n", row.seconds / col.seconds);
-  std::printf("  thread speedup (columnar): %.2fx\n", col.seconds / par.seconds);
+  std::printf("\n  thread speedup: %.2fx\n", serial.seconds / par.seconds);
 
-  const bool same =
-      artifacts_equal(row.artifacts, col.artifacts) && artifacts_equal(col.artifacts, par.artifacts);
-  std::printf("  row-wise == columnar == parallel: %s\n", same ? "ok" : "MISMATCH");
+  const auto diffs = artifact_diffs(serial.artifacts, par.artifacts);
+  std::printf("  serial == parallel, every artifact field: %s",
+              diffs.empty() ? "ok" : "MISMATCH in");
+  for (const auto& d : diffs) std::printf(" %s", d.c_str());
+  std::printf("\n");
   // The pipeline.* metrics/trace dumps are part of the determinism
-  // contract: byte-identical across layout and thread count.
-  const bool dumps = row.metrics_csv == col.metrics_csv && col.metrics_csv == par.metrics_csv &&
-                     row.trace_csv == col.trace_csv && col.trace_csv == par.trace_csv;
+  // contract: byte-identical across thread counts.
+  const bool dumps = serial.metrics_csv == par.metrics_csv && serial.trace_csv == par.trace_csv;
   std::printf("  metrics/trace dumps byte-identical: %s\n", dumps ? "ok" : "MISMATCH");
-  if (!same || !dumps) return 1;
-  if (col.seconds > row.seconds * 1.1) {
-    std::printf("  REGRESSION: columnar full analysis slower than row-wise by >10%%\n");
-    return 2;
-  }
-  return 0;
+  if (serial.metrics_csv != par.metrics_csv) report_diff(serial.metrics_csv, par.metrics_csv);
+  if (serial.trace_csv != par.trace_csv) report_diff(serial.trace_csv, par.trace_csv);
+  if (!diffs.empty() || !dumps) return 1;
+  return gate_on_baseline(seed, serial_rate);
 }

@@ -10,10 +10,6 @@
 namespace hs::core {
 namespace {
 
-// IntervalCursor moved to core/record_batch.hpp: RecordBatch::build and
-// the row-wise attribute loop share it so both paths apply the identical
-// worn filter.
-
 /// Overlap of [a0,a1) with a set of sorted intervals.
 double overlap_seconds(const std::vector<std::pair<double, double>>& intervals, double a0,
                        double a1) {
@@ -179,170 +175,87 @@ void AnalysisPipeline::assemble() {
   }
 
   // 3. Attribute records to astronauts (worn periods only). Several badges
-  // can feed one astronaut (the day-9 swap, F reusing C's badge), so each
-  // badge shard rectifies into private per-astronaut buffers; the merge
-  // into persons_/cols_ happens serially in log order, reproducing exactly
-  // the append order of the serial path.
-  //
-  // Columnar mode: each badge shard builds an arena-backed RecordBatch
-  // (rectified + worn-filtered columns, one batch per shard — the
-  // docs/CONCURRENCY.md batch-ownership rule) and resolves ownership once
-  // per badge-day run instead of once per record; the kept slices are
-  // copied into per-astronaut column buffers before the arena dies with
-  // the shard. The kept set and every stored value match the row-wise
-  // loop bit-for-bit (same rectify expression, same cursor, same order).
-  if (options_.columnar) {
-    // Shards only build batches (rectify + worn filter, into per-shard
-    // arenas — no cross-shard aliasing); the merge walks the batches
-    // serially in log order, resolving ownership once per badge-day run
-    // and appending the kept column slices straight into cols_. One copy
-    // card->batch, one copy batch->cols_ — the same count as the
-    // row-wise path, with the per-record owner lookup amortized away.
-    std::vector<ColumnArena> arenas(nlogs);
-    std::vector<RecordBatch> batches(nlogs);
-    {
-      obs::ProfileScope prof(tracer, "pipeline.attribute");
-      util::parallel_for(pool, nlogs, [&](std::size_t i) {
-        batches[i] =
-            RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i], arenas[i]);
-      });
-    }
-    trace_stage(nlogs);
-    for (std::size_t i = 0; i < nlogs; ++i) {
-      const RecordBatch& batch = batches[i];
-      std::array<std::uint64_t, crew::kCrewSize> attributed{};
-      for (const DayRun& run : batch.obs.days) {
-        if (const auto who = ownership.owner(batch.badge, run.day)) {
-          PersonColumns& pc = cols_[*who];
-          pc.obs_t.insert(pc.obs_t.end(), batch.obs.t_s + run.begin, batch.obs.t_s + run.end);
-          pc.obs_beacon.insert(pc.obs_beacon.end(), batch.obs.beacon + run.begin,
-                               batch.obs.beacon + run.end);
-          pc.obs_rssi.insert(pc.obs_rssi.end(), batch.obs.rssi_dbm + run.begin,
-                             batch.obs.rssi_dbm + run.end);
-          attributed[*who] += run.end - run.begin;
-        }
-      }
-      for (const DayRun& run : batch.audio.days) {
-        if (const auto who = ownership.owner(batch.badge, run.day)) {
-          PersonColumns& pc = cols_[*who];
-          pc.audio_t.insert(pc.audio_t.end(), batch.audio.t_s + run.begin,
-                            batch.audio.t_s + run.end);
-          pc.audio_level_db.insert(pc.audio_level_db.end(), batch.audio.level_db + run.begin,
-                                   batch.audio.level_db + run.end);
-          pc.audio_voiced.insert(pc.audio_voiced.end(), batch.audio.voiced_fraction + run.begin,
-                                 batch.audio.voiced_fraction + run.end);
-          pc.audio_f0.insert(pc.audio_f0.end(), batch.audio.f0_hz + run.begin,
-                             batch.audio.f0_hz + run.end);
-          attributed[*who] += run.end - run.begin;
-        }
-      }
-      for (const DayRun& run : batch.motion.days) {
-        if (const auto who = ownership.owner(batch.badge, run.day)) {
-          PersonColumns& pc = cols_[*who];
-          pc.motion_t.insert(pc.motion_t.end(), batch.motion.t_s + run.begin,
-                             batch.motion.t_s + run.end);
-          pc.motion_accel_var.insert(pc.motion_accel_var.end(), batch.motion.accel_var + run.begin,
-                                     batch.motion.accel_var + run.end);
-          pc.motion_step_hz.insert(pc.motion_step_hz.end(), batch.motion.step_freq_hz + run.begin,
-                                   batch.motion.step_freq_hz + run.end);
-          attributed[*who] += run.end - run.begin;
-        }
-      }
-      if (attributed_metric) {
-        for (std::size_t who = 0; who < crew::kCrewSize; ++who) {
-          attributed_metric->inc(attributed[who]);
-        }
+  // can feed one astronaut (the day-9 swap, F reusing C's badge). Each
+  // badge shard builds an arena-backed RecordBatch (rectified + worn-
+  // filtered columns, one batch per shard — the docs/CONCURRENCY.md
+  // batch-ownership rule). The merge then walks the batches serially in
+  // log order, resolves ownership once per badge-day run, and appends the
+  // kept column slices into cols_ before the arenas die, so the append
+  // order is the same for every thread count.
+  std::vector<ColumnArena> arenas(nlogs);
+  std::vector<RecordBatch> batches(nlogs);
+  {
+    obs::ProfileScope prof(tracer, "pipeline.attribute");
+    util::parallel_for(pool, nlogs, [&](std::size_t i) {
+      batches[i] =
+          RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i], arenas[i]);
+    });
+  }
+  trace_stage(nlogs);
+  for (std::size_t i = 0; i < nlogs; ++i) {
+    const RecordBatch& batch = batches[i];
+    std::array<std::uint64_t, crew::kCrewSize> attributed{};
+    for (const DayRun& run : batch.obs.days) {
+      if (const auto who = ownership.owner(batch.badge, run.day)) {
+        PersonColumns& pc = cols_[*who];
+        pc.obs_t.insert(pc.obs_t.end(), batch.obs.t_s + run.begin, batch.obs.t_s + run.end);
+        pc.obs_beacon.insert(pc.obs_beacon.end(), batch.obs.beacon + run.begin,
+                             batch.obs.beacon + run.end);
+        pc.obs_rssi.insert(pc.obs_rssi.end(), batch.obs.rssi_dbm + run.begin,
+                           batch.obs.rssi_dbm + run.end);
+        attributed[*who] += run.end - run.begin;
       }
     }
-  } else {
-    struct Contribution {
-      std::array<std::vector<locate::TimedRssi>, crew::kCrewSize> obs;
-      std::array<std::vector<dsp::TimedAudio>, crew::kCrewSize> audio;
-      std::array<std::vector<TimedMotion>, crew::kCrewSize> motion;
-    };
-    std::vector<Contribution> contrib(nlogs);
-    {
-      obs::ProfileScope prof(tracer, "pipeline.attribute");
-      util::parallel_for(pool, nlogs, [&](std::size_t i) {
-        const auto& log = logs[i];
-        const auto& fit = *fit_slot[i];
-        Contribution& c = contrib[i];
-        IntervalCursor worn_cursor(*worn_slot[i]);
-
-        auto owner_at = [&](double t_s) -> std::optional<std::size_t> {
-          const int day = mission_day(static_cast<SimTime>(t_s * 1e6));
-          return ownership.owner(log.id, day);
-        };
-
-        for (const auto& r : log.card.beacon_obs()) {
-          const double t = fit.rectify(r.t) / 1000.0;
-          if (!worn_cursor.contains(t)) continue;
-          if (const auto who = owner_at(t)) {
-            c.obs[*who].push_back(locate::TimedRssi{t, r.beacon, r.rssi_dbm});
-          }
-        }
-        IntervalCursor worn_audio(*worn_slot[i]);
-        for (const auto& r : log.card.audio()) {
-          const double t = fit.rectify(r.t) / 1000.0;
-          if (!worn_audio.contains(t)) continue;
-          if (const auto who = owner_at(t)) {
-            c.audio[*who].push_back(
-                dsp::TimedAudio{t, r.level_db, r.voiced_fraction, r.dominant_f0_hz});
-          }
-        }
-        IntervalCursor worn_motion(*worn_slot[i]);
-        for (const auto& r : log.card.motion()) {
-          const double t = fit.rectify(r.t) / 1000.0;
-          if (!worn_motion.contains(t)) continue;
-          if (const auto who = owner_at(t)) {
-            c.motion[*who].push_back(TimedMotion{t, r.accel_var, r.step_freq_hz});
-          }
-        }
-      });
+    for (const DayRun& run : batch.audio.days) {
+      if (const auto who = ownership.owner(batch.badge, run.day)) {
+        PersonColumns& pc = cols_[*who];
+        pc.audio_t.insert(pc.audio_t.end(), batch.audio.t_s + run.begin,
+                          batch.audio.t_s + run.end);
+        pc.audio_level_db.insert(pc.audio_level_db.end(), batch.audio.level_db + run.begin,
+                                 batch.audio.level_db + run.end);
+        pc.audio_voiced.insert(pc.audio_voiced.end(), batch.audio.voiced_fraction + run.begin,
+                               batch.audio.voiced_fraction + run.end);
+        pc.audio_f0.insert(pc.audio_f0.end(), batch.audio.f0_hz + run.begin,
+                           batch.audio.f0_hz + run.end);
+        attributed[*who] += run.end - run.begin;
+      }
     }
-    trace_stage(nlogs);
-    for (auto& c : contrib) {
+    for (const DayRun& run : batch.motion.days) {
+      if (const auto who = ownership.owner(batch.badge, run.day)) {
+        PersonColumns& pc = cols_[*who];
+        pc.motion_t.insert(pc.motion_t.end(), batch.motion.t_s + run.begin,
+                           batch.motion.t_s + run.end);
+        pc.motion_accel_var.insert(pc.motion_accel_var.end(), batch.motion.accel_var + run.begin,
+                                   batch.motion.accel_var + run.end);
+        pc.motion_step_hz.insert(pc.motion_step_hz.end(), batch.motion.step_freq_hz + run.begin,
+                                 batch.motion.step_freq_hz + run.end);
+        attributed[*who] += run.end - run.begin;
+      }
+    }
+    if (attributed_metric) {
       for (std::size_t who = 0; who < crew::kCrewSize; ++who) {
-        auto& p = persons_[who];
-        p.obs.insert(p.obs.end(), c.obs[who].begin(), c.obs[who].end());
-        p.audio.insert(p.audio.end(), c.audio[who].begin(), c.audio[who].end());
-        p.motion.insert(p.motion.end(), c.motion[who].begin(), c.motion[who].end());
-        if (attributed_metric) {
-          attributed_metric->inc(c.obs[who].size() + c.audio[who].size() + c.motion[who].size());
-        }
+        attributed_metric->inc(attributed[who]);
       }
     }
   }
 
   // 4. Sort (multiple badges can contribute to one astronaut) and derive —
   // independent per astronaut; classifier and detector are shared const.
-  //
-  // Columnar mode sorts via core::sort_columns (gather into row structs,
-  // the same std::sort on the same values, scatter back — see its doc
-  // comment for why that keeps columnar ≡ row-wise bit-identical), then
-  // classification and speech analysis run over the sorted columns.
+  // core::sort_columns fixes the tie order of same-timestamp beacon
+  // observations, which decides every track (see its doc comment).
   const locate::RoomClassifier classifier(dataset_->beacons, options_.classifier);
   const dsp::SpeechDetector speech(options_.speech);
   {
     obs::ProfileScope prof(tracer, "pipeline.derive");
     util::parallel_for(pool, crew::kCrewSize, [&](std::size_t i) {
       auto& p = persons_[i];
-      auto by_time = [](const auto& a, const auto& b) { return a.t_s < b.t_s; };
-      if (options_.columnar) {
-        PersonColumns& pc = cols_[i];
-        sort_columns(pc);
-        p.track = classifier.classify(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(),
-                                      pc.obs_t.size());
-        p.speech = speech.analyze(pc.audio_t.data(), pc.audio_level_db.data(),
-                                  pc.audio_voiced.data(), pc.audio_f0.data(), pc.audio_t.size(),
-                                  0.0);
-      } else {
-        std::sort(p.obs.begin(), p.obs.end(), by_time);
-        std::sort(p.audio.begin(), p.audio.end(), by_time);
-        std::sort(p.motion.begin(), p.motion.end(), by_time);
-        p.track = classifier.classify(p.obs);
-        p.speech = speech.analyze(p.audio, 0.0);
-      }
+      PersonColumns& pc = cols_[i];
+      sort_columns(pc);
+      p.track = classifier.classify(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(),
+                                    pc.obs_t.size());
+      p.speech = speech.analyze(pc.audio_t.data(), pc.audio_level_db.data(),
+                                pc.audio_voiced.data(), pc.audio_f0.data(), pc.audio_t.size(),
+                                0.0);
     });
   }
   trace_stage(crew::kCrewSize);
@@ -363,17 +276,10 @@ locate::TransitionMatrix AnalysisPipeline::fig2_transitions(double min_dwell_s) 
 locate::HeatmapAccumulator AnalysisPipeline::fig3_heatmap(std::size_t astronaut) const {
   const locate::Triangulator tri(dataset_->habitat, dataset_->beacons);
   locate::HeatmapAccumulator heat(dataset_->habitat);
-  const auto& p = persons_[astronaut];
-  if (options_.columnar) {
-    // Triangulate straight off the sorted columns — same binning loop as
-    // the row overload (shared implementation), no row materialization.
-    const PersonColumns& pc = cols_[astronaut];
-    heat.add_fixes(
-        tri.fixes(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(), pc.obs_t.size(),
-                  p.track));
-  } else {
-    heat.add_fixes(tri.fixes(p.obs, p.track));
-  }
+  // Triangulate straight off the sorted columns — no row materialization.
+  const PersonColumns& pc = cols_[astronaut];
+  heat.add_fixes(tri.fixes(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(),
+                           pc.obs_t.size(), persons_[astronaut].track));
   return heat;
 }
 
@@ -388,49 +294,20 @@ AnalysisPipeline::DailySeries AnalysisPipeline::fig4_walking() const {
   // Each astronaut owns column i of every row — disjoint writes, so the
   // crew axis shards freely.
   util::parallel_for(pool_.get(), crew::kCrewSize, [&](std::size_t i) {
-    if (options_.columnar) {
-      // The sorted motion columns split into maximal same-day runs; one
-      // SIMD predicate count per run replaces the per-frame flush loop.
-      // Semantics match the row-wise branch below exactly: runs past the
-      // instrumented window stop processing, runs before it or shorter
-      // than 10 minutes yield no estimate.
-      const PersonColumns& pc = cols_[i];
-      for (const DayRun& run : day_runs(pc.motion_t.data(), pc.motion_t.size())) {
-        if (run.day > dataset_->last_day()) break;
-        const std::size_t total = run.end - run.begin;
-        if (run.day < series.first_day || total < 600) continue;
-        const std::size_t walking = detector.count_walking(
-            pc.motion_step_hz.data() + run.begin, pc.motion_accel_var.data() + run.begin, total);
-        series.values[static_cast<std::size_t>(run.day - series.first_day)][i] =
-            static_cast<double>(walking) / static_cast<double>(total);
-      }
-      return;
-    }
-    // Split the motion stream by day and classify.
-    std::size_t walking = 0;
-    std::size_t total = 0;
-    int cur_day = -1;
-    auto flush = [&]() {
-      if (cur_day < series.first_day || total < 600) return;  // <10 min of data: no estimate
-      series.values[static_cast<std::size_t>(cur_day - series.first_day)][i] =
+    // The sorted motion columns split into maximal same-day runs, one SIMD
+    // predicate count per run. Runs past the instrumented window stop
+    // processing; runs before it or shorter than 10 minutes yield no
+    // estimate.
+    const PersonColumns& pc = cols_[i];
+    for (const DayRun& run : day_runs(pc.motion_t.data(), pc.motion_t.size())) {
+      if (run.day > dataset_->last_day()) break;
+      const std::size_t total = run.end - run.begin;
+      if (run.day < series.first_day || total < 600) continue;
+      const std::size_t walking = detector.count_walking(
+          pc.motion_step_hz.data() + run.begin, pc.motion_accel_var.data() + run.begin, total);
+      series.values[static_cast<std::size_t>(run.day - series.first_day)][i] =
           static_cast<double>(walking) / static_cast<double>(total);
-    };
-    for (const auto& m : persons_[i].motion) {
-      const int day = mission_day(static_cast<SimTime>(m.t_s * 1e6));
-      if (day != cur_day) {
-        flush();
-        cur_day = day;
-        walking = 0;
-        total = 0;
-      }
-      if (day > dataset_->last_day()) break;
-      ++total;
-      io::MotionFrame f;
-      f.accel_var = m.accel_var;
-      f.step_freq_hz = m.step_freq_hz;
-      if (detector.is_walking(f)) ++walking;
     }
-    flush();
   });
   return series;
 }
@@ -547,25 +424,12 @@ std::vector<AnalysisPipeline::Table1Row> AnalysisPipeline::table1() const {
                          ? 0.0
                          : static_cast<double>(speech) / persons_[i].speech.size();
     // Walking: fraction of recorded motion frames classified as walking.
-    if (options_.columnar) {
-      const PersonColumns& pc = cols_[i];
-      const std::size_t walk = detector.count_walking(pc.motion_step_hz.data(),
-                                                      pc.motion_accel_var.data(), pc.motion_t.size());
-      walking_raw[i] = pc.motion_t.empty()
-                           ? 0.0
-                           : static_cast<double>(walk) / static_cast<double>(pc.motion_t.size());
-    } else {
-      std::size_t walk = 0;
-      for (const auto& m : persons_[i].motion) {
-        io::MotionFrame f;
-        f.accel_var = m.accel_var;
-        f.step_freq_hz = m.step_freq_hz;
-        if (detector.is_walking(f)) ++walk;
-      }
-      walking_raw[i] = persons_[i].motion.empty()
-                           ? 0.0
-                           : static_cast<double>(walk) / persons_[i].motion.size();
-    }
+    const PersonColumns& pc = cols_[i];
+    const std::size_t walk = detector.count_walking(pc.motion_step_hz.data(),
+                                                    pc.motion_accel_var.data(), pc.motion_t.size());
+    walking_raw[i] = pc.motion_t.empty()
+                         ? 0.0
+                         : static_cast<double>(walk) / static_cast<double>(pc.motion_t.size());
   }
 
   // Company is a *rate*: normalize by coverage before scaling (C is aboard
@@ -713,20 +577,11 @@ AnalysisPipeline::PairStats AnalysisPipeline::pair_stats() const {
   // co-working in the same room: meetings are speech-gated and private
   // time is weighted by the conversation's speech coverage.
   PairStats stats;
-  // Columnar mode hands the meeting stage borrowed views of the tracks
-  // and speech intervals already sitting in persons_ (no copies — the
-  // no-rematerialization rule, docs/PERFORMANCE.md "Artifact layer") and
-  // takes the raster fast path; row mode keeps the copying reference
-  // formulation the determinism suite pins the fast path against.
+  // The meeting stage borrows views of the tracks and speech intervals
+  // already sitting in persons_ (no copies — the no-rematerialization
+  // rule, docs/PERFORMANCE.md "Artifact layer").
   const auto track_v = track_views();
   const auto speech_v = speech_views();
-  std::vector<std::vector<locate::RoomStay>> all_tracks;
-  std::vector<std::vector<dsp::SpeechInterval>> speech;
-  if (!options_.columnar) {
-    all_tracks = tracks();
-    speech.reserve(crew::kCrewSize);
-    for (const auto& p : persons_) speech.push_back(p.speech);
-  }
 
   // Meeting detection is independent per mission day, so the day axis
   // shards: each day accumulates a private partial, and the partials fold
@@ -738,15 +593,10 @@ AnalysisPipeline::PairStats AnalysisPipeline::pair_stats() const {
   util::parallel_for(pool_.get(), days, [&](std::size_t d) {
     PairStats& ps = daily[d];
     const double d0 = static_cast<double>(day_start(first + static_cast<int>(d))) / 1e6;
-    const auto meetings =
-        options_.columnar
-            ? sna::detect_meetings(std::span<const sna::TrackView>(track_v), d0 + 8 * 3600.0,
-                                   d0 + 22 * 3600.0)
-            : sna::detect_meetings_rowwise(all_tracks, d0 + 8 * 3600.0, d0 + 22 * 3600.0);
+    const auto meetings = sna::detect_meetings(std::span<const sna::TrackView>(track_v),
+                                               d0 + 8 * 3600.0, d0 + 22 * 3600.0);
     for (const auto& m : meetings) {
-      const auto dyn = options_.columnar
-                           ? sna::analyze_meeting(m, std::span<const sna::SpeechView>(speech_v))
-                           : sna::analyze_meeting_rowwise(m, speech);
+      const auto dyn = sna::analyze_meeting(m, std::span<const sna::SpeechView>(speech_v));
       if (dyn.speech_fraction < 0.15) continue;  // silent co-presence, not a meeting
       const double hours = m.duration_s() / 3600.0;
       // Private tete-a-tetes shorter than ~6 min are mostly artifacts of
@@ -912,23 +762,14 @@ AnalysisPipeline::GapReport AnalysisPipeline::gap_report() const {
 
 std::vector<sna::Meeting> AnalysisPipeline::meetings_on(int day) const {
   const double d0 = static_cast<double>(day_start(day)) / 1e6;
-  if (options_.columnar) {
-    const auto views = track_views();
-    return sna::detect_meetings(std::span<const sna::TrackView>(views), d0 + 8 * 3600.0,
-                                d0 + 22 * 3600.0);
-  }
-  return sna::detect_meetings_rowwise(tracks(), d0 + 8 * 3600.0, d0 + 22 * 3600.0);
+  const auto views = track_views();
+  return sna::detect_meetings(std::span<const sna::TrackView>(views), d0 + 8 * 3600.0,
+                              d0 + 22 * 3600.0);
 }
 
 sna::MeetingDynamics AnalysisPipeline::meeting_dynamics(const sna::Meeting& meeting) const {
-  if (options_.columnar) {
-    const auto views = speech_views();
-    return sna::analyze_meeting(meeting, std::span<const sna::SpeechView>(views));
-  }
-  std::vector<std::vector<dsp::SpeechInterval>> speech;
-  speech.reserve(crew::kCrewSize);
-  for (const auto& p : persons_) speech.push_back(p.speech);
-  return sna::analyze_meeting_rowwise(meeting, speech);
+  const auto views = speech_views();
+  return sna::analyze_meeting(meeting, std::span<const sna::SpeechView>(views));
 }
 
 }  // namespace hs::core

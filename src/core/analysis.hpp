@@ -37,13 +37,6 @@ class Tracer;
 
 namespace hs::core {
 
-/// Motion frame on the rectified timeline.
-struct TimedMotion {
-  double t_s = 0.0;
-  float accel_var = 0.0F;
-  float step_freq_hz = 0.0F;
-};
-
 struct PipelineOptions {
   /// Use the corrected ownership schedule (false: the naive one-badge-one-
   /// owner assumption — the ablation the paper's Section VI-C3 motivates).
@@ -56,14 +49,6 @@ struct PipelineOptions {
   /// path (no pool is created). Results are bit-identical for every
   /// thread count — see docs/CONCURRENCY.md for the guarantee.
   unsigned threads = 0;
-  /// Process records through arena-allocated struct-of-arrays batches
-  /// (hs::core::RecordBatch) so the attribute stage amortizes ownership
-  /// lookups per badge-day run and the DSP folds run over contiguous
-  /// columns (SIMD where exact). false selects the row-wise reference
-  /// path; both produce bit-identical output on every input — the
-  /// contract tests/determinism_test.cpp pins for seeds 7/42, and
-  /// docs/PERFORMANCE.md documents. Orthogonal to `threads`.
-  bool columnar = true;
   /// Speech-interval detection thresholds (the paper's 60 dB / 20 % /
   /// 15 s rule); overridable for sensitivity studies.
   dsp::SpeechParams speech{};
@@ -230,10 +215,9 @@ class AnalysisPipeline {
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
 
  private:
+  /// Derived per-astronaut products; the records they come from live in
+  /// cols_.
   struct Person {
-    std::vector<locate::TimedRssi> obs;
-    std::vector<dsp::TimedAudio> audio;
-    std::vector<TimedMotion> motion;
     std::vector<locate::RoomStay> track;
     std::vector<dsp::SpeechInterval> speech;
   };
@@ -241,8 +225,8 @@ class AnalysisPipeline {
   void assemble();
   [[nodiscard]] sna::CompanyAnalysis company_analysis() const;
   /// Borrowed per-astronaut views over persons_ for the meeting stage —
-  /// valid while the pipeline lives; columnar-mode callers hand these out
-  /// instead of copying the track/speech vectors.
+  /// valid while the pipeline lives; handed out instead of copying the
+  /// track/speech vectors.
   [[nodiscard]] std::vector<sna::TrackView> track_views() const;
   [[nodiscard]] std::vector<sna::SpeechView> speech_views() const;
 
@@ -260,9 +244,8 @@ class AnalysisPipeline {
   std::map<io::BadgeId, std::vector<std::pair<double, double>>> worn_;
   std::map<io::BadgeId, std::vector<std::pair<double, double>>> active_;
   std::array<Person, crew::kCrewSize> persons_;
-  /// Columnar mode: per-astronaut attributed record columns (the SoA
-  /// counterpart of Person::obs/audio/motion, which stay empty). Derived
-  /// products (track, speech) always land in persons_.
+  /// Per-astronaut attributed record columns, sorted by time after
+  /// assemble(). Derived products (track, speech) land in persons_.
   std::array<PersonColumns, crew::kCrewSize> cols_;
 };
 

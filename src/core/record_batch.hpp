@@ -1,11 +1,11 @@
 // Columnar record batches: the struct-of-arrays form of one badge's
 // rectified, worn-filtered record streams.
 //
-// The row-wise pipeline pays three per-record costs in its hot loop: the
-// clock-rectify call, an ownership lookup (a linear scan over the
-// schedule), and a mission-day division. A RecordBatch restructures the
-// work so each cost is paid once per *column pass* or once per *badge-day
-// run* instead: build() streams each SD-card record stream once into
+// Attributing a record costs a clock-rectify call, an ownership lookup (a
+// linear scan over the schedule) and a mission-day division. A
+// RecordBatch restructures the work so the rectify is paid once per
+// *column pass* and the rest once per *badge-day run*: build() streams
+// each SD-card record stream once into
 // contiguous columns (timestamps, beacon ids, RSSI, audio/motion
 // features), and records where the mission-day boundaries fall, so the
 // attribute stage resolves ownership per day-run and the DSP folds run
@@ -17,12 +17,13 @@
 // outlives it — shards copy the slices they keep (per-astronaut
 // contributions) before the arena dies. No cross-shard aliasing, ever.
 //
-// Determinism: every value in a column is produced by the *same scalar
-// expression* the row-wise path evaluates (`fit.rectify(t) / 1000.0`, the
-// same worn-interval cursor), in the same order, so columnar and row-wise
-// pipelines are bit-identical — tests/determinism_test.cpp and
-// tests/record_batch_test.cpp pin this for seeds 7/42 and for the edge
-// cases (empty badge-day, single record, day straddle, NaN features).
+// Determinism: every value in a column is one scalar expression of one
+// card record (`fit.rectify(t) / 1000.0`, the worn-interval cursor), kept
+// in card order. tests/record_batch_test.cpp checks the pipeline against
+// a per-record attribution oracle on the edge cases (empty badge-day,
+// single record, day straddle, badge swap and reuse, NaN features), and
+// tests/repro_test.cpp pins a digest of every output of the seed-42
+// mission.
 #pragma once
 
 #include <cstddef>
@@ -116,17 +117,16 @@ struct DayRun {
 };
 
 /// Split a rectified-seconds column into mission-day runs with a single
-/// linear scan that classifies each record by the *exact* expression the
-/// row-wise path evaluates, so run boundaries match the scalar
-/// classification bit-for-bit — including records that straddle midnight
-/// with sub-microsecond fractions. Runs are maximal consecutive same-day
-/// stretches; no sortedness is assumed (an out-of-order stamp yields an
-/// extra run, never a misclassified record).
+/// linear scan whose boundaries match the per-record classification
+/// `mission_day(static_cast<SimTime>(t_s * 1e6))` bit-for-bit — including
+/// records that straddle midnight with sub-microsecond fractions. Runs
+/// are maximal consecutive same-day stretches; no sortedness is assumed
+/// (an out-of-order stamp yields an extra run, never a misclassified
+/// record).
 [[nodiscard]] std::vector<DayRun> day_runs(const double* t_s, std::size_t n);
 
 /// Sorted-interval membership test with a moving cursor, for streams
-/// processed in time order. Shared by the row-wise attribute loop and
-/// RecordBatch::build so both paths apply the identical worn filter.
+/// processed in time order — RecordBatch::build's worn filter.
 class IntervalCursor {
  public:
   explicit IntervalCursor(const std::vector<std::pair<double, double>>& intervals)
@@ -184,17 +184,14 @@ struct RecordBatch {
   /// Build the batch for one badge: rectify every beacon/audio/motion
   /// record with `fit`, keep only records inside the sorted `worn`
   /// intervals, write the survivors into arena-backed columns in card
-  /// order, and compute each stream's day runs. The per-record work is
-  /// exactly the row-wise attribute loop's (same rectify expression, same
-  /// cursor), so the kept set and every stored value are bit-identical.
+  /// order, and compute each stream's day runs.
   [[nodiscard]] static RecordBatch build(io::BadgeId badge, const badge::SdCard& card,
                                          const timesync::ClockFit& fit,
                                          const std::vector<std::pair<double, double>>& worn,
                                          ColumnArena& arena);
 };
 
-/// Growable per-astronaut column buffers: the columnar counterpart of the
-/// pipeline's row-wise per-person record vectors. The attribute stage
+/// Growable per-astronaut record columns. The attribute stage
 /// appends day-run slices from several badges' batches (the day-9 swap, F
 /// reusing C's badge), the derive stage sorts them by time.
 struct PersonColumns {
@@ -221,12 +218,15 @@ struct PersonColumns {
 /// and std::sort would return the input unchanged — skipping it is
 /// bit-identical, and the common case when one badge feeds the astronaut
 /// (streams are recorded in time order and a monotone fit keeps them that
-/// way). Any inversion or tie gathers the group into the same row structs
-/// the row-wise path sorts, runs the same std::sort on the same values —
-/// std::sort's tie order (several beacons heard in the same scan share a
-/// timestamp) is unspecified-but-deterministic, a pure function of the
-/// comparison outcomes — and scatters the permutation back, which is what
-/// keeps columnar ≡ row-wise bit-identical.
+/// way). Any inversion or tie gathers the group into row structs, runs
+/// std::sort by time and scatters the permutation back. std::sort's tie
+/// order (several beacons heard in the same scan share a timestamp) is
+/// unspecified but deterministic, a pure function of the comparison
+/// outcomes. It picks the winner of a classifier bin between equally
+/// loud beacons and the order of the triangulation sums, so tracks and
+/// heatmaps depend on it. Keep this gather → std::sort → scatter
+/// exactly: a stable sort or an index sort orders the ties differently
+/// and moves the outputs tests/repro_test.cpp pins.
 void sort_columns(PersonColumns& pc);
 
 }  // namespace hs::core

@@ -6,19 +6,19 @@
 #include "util/simd.hpp"
 
 namespace hs::dsp {
-namespace {
 
-/// The interval fold shared by the row-wise and columnar entry points:
-/// one implementation, two frame accessors, so the two paths cannot
-/// drift. Every expression (slot flooring, the float-into-double level
-/// sum, the f0 quantization) runs in the same order on the same values,
-/// which is what makes columnar ≡ row-wise bit-identical.
-template <typename TimeAt, typename VoicedAt, typename LevelAt, typename F0At>
-std::vector<SpeechInterval> analyze_frames(const SpeechParams& params, std::size_t n, double t0_s,
-                                           TimeAt time_at, VoicedAt voiced_at, LevelAt level_at,
-                                           F0At f0_at) {
+std::vector<SpeechInterval> SpeechDetector::analyze(const double* t_s, const float* level_db,
+                                                    const float* voiced_fraction,
+                                                    const float* f0_hz, std::size_t n,
+                                                    double t0_s) const {
   std::vector<SpeechInterval> out;
   if (n == 0) return out;
+
+  // The voiced-frame predicate as a branch-free SIMD mask (the exact
+  // kernel widens floats to double like the scalar compare).
+  std::vector<std::uint8_t> voiced(n);
+  util::simd::mask_ge2(voiced_fraction, level_db, n, params_.min_voiced_fraction,
+                       params_.min_level_db, voiced.data());
 
   SpeechInterval cur;
   std::int64_t cur_slot = -1;
@@ -29,8 +29,8 @@ std::vector<SpeechInterval> analyze_frames(const SpeechParams& params, std::size
     if (cur_slot < 0 || cur.total_frames == 0) return;
     const double coverage =
         static_cast<double>(cur.voiced_frames) /
-        (params.interval_s);  // frames are 1 s: coverage == voiced seconds / interval
-    cur.speech = coverage >= params.min_coverage && cur.voiced_frames > 0;
+        (params_.interval_s);  // frames are 1 s: coverage == voiced seconds / interval
+    cur.speech = coverage >= params_.min_coverage && cur.voiced_frames > 0;
     cur.mean_voiced_db = cur.voiced_frames > 0 ? voiced_db_sum / cur.voiced_frames : 0.0;
     int best_votes = 0;
     int best_f0 = 0;
@@ -46,20 +46,20 @@ std::vector<SpeechInterval> analyze_frames(const SpeechParams& params, std::size
 
   for (std::size_t i = 0; i < n; ++i) {
     const auto slot =
-        static_cast<std::int64_t>(std::floor((time_at(i) - t0_s) / params.interval_s));
+        static_cast<std::int64_t>(std::floor((t_s[i] - t0_s) / params_.interval_s));
     if (slot != cur_slot) {
       flush();
       cur = SpeechInterval{};
-      cur.start_s = t0_s + static_cast<double>(slot) * params.interval_s;
+      cur.start_s = t0_s + static_cast<double>(slot) * params_.interval_s;
       cur_slot = slot;
       voiced_db_sum = 0.0;
       f0_votes.clear();
     }
     ++cur.total_frames;
-    if (voiced_at(i)) {
+    if (voiced[i] != 0) {
       ++cur.voiced_frames;
-      voiced_db_sum += level_at(i);
-      const float f0 = f0_at(i);
+      voiced_db_sum += level_db[i];
+      const float f0 = f0_hz[i];
       if (f0 > 0.0F) {
         // Quantize to 10 Hz bins: male ~85-155 Hz, female ~165-255 Hz.
         ++f0_votes[static_cast<int>(std::lround(f0 / 10.0F)) * 10];
@@ -68,38 +68,6 @@ std::vector<SpeechInterval> analyze_frames(const SpeechParams& params, std::size
   }
   flush();
   return out;
-}
-
-}  // namespace
-
-bool SpeechDetector::frame_voiced(const TimedAudio& frame) const {
-  return frame.voiced_fraction >= params_.min_voiced_fraction &&
-         frame.level_db >= params_.min_level_db;
-}
-
-std::vector<SpeechInterval> SpeechDetector::analyze(const std::vector<TimedAudio>& frames,
-                                                    double t0_s) const {
-  return analyze_frames(
-      params_, frames.size(), t0_s, [&](std::size_t i) { return frames[i].t_s; },
-      [&](std::size_t i) { return frame_voiced(frames[i]); },
-      [&](std::size_t i) { return frames[i].level_db; },
-      [&](std::size_t i) { return frames[i].f0_hz; });
-}
-
-std::vector<SpeechInterval> SpeechDetector::analyze(const double* t_s, const float* level_db,
-                                                    const float* voiced_fraction,
-                                                    const float* f0_hz, std::size_t n,
-                                                    double t0_s) const {
-  // Precompute the voiced-frame predicate as a branch-free SIMD mask (the
-  // exact kernel widens floats to double like the scalar compare), then
-  // run the identical interval fold over the columns.
-  std::vector<std::uint8_t> voiced(n);
-  util::simd::mask_ge2(voiced_fraction, level_db, n, params_.min_voiced_fraction,
-                       params_.min_level_db, voiced.data());
-  return analyze_frames(
-      params_, n, t0_s, [&](std::size_t i) { return t_s[i]; },
-      [&](std::size_t i) { return voiced[i] != 0; },
-      [&](std::size_t i) { return level_db[i]; }, [&](std::size_t i) { return f0_hz[i]; });
 }
 
 VoiceClass dominant_voice_class(const std::vector<SpeechInterval>& intervals) {

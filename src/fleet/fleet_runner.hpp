@@ -34,11 +34,6 @@ struct CampaignOptions {
   /// default: analysis multiplies per-habitat cost and campaign studies
   /// usually only need the mission-side telemetry.
   bool analyze = false;
-  /// Columnar (RecordBatch) or row-wise analysis when `analyze` is set;
-  /// both produce bit-identical summaries (the PipelineOptions::columnar
-  /// contract), so this is a perf knob bench/fleet_scale flips to measure
-  /// the fleet-level win.
-  bool columnar = true;
 };
 
 /// Run one habitat's mission and condense it into its downlink summary.

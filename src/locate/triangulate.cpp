@@ -12,8 +12,8 @@ Triangulator::Triangulator(const habitat::Habitat& habitat,
   for (const auto& b : beacons_) max_id = std::max(max_id, b.id);
   index_.assign(static_cast<std::size_t>(max_id) + 1, beacons_.size());
   for (std::size_t i = 0; i < beacons_.size(); ++i) index_[beacons_[i].id] = i;
-  // Every int8 RSSI maps to the same std::pow(10, r/10) the per-record
-  // call would compute — pow is a pure function, so precomputing the 256
+  // Every int8 RSSI maps to the std::pow(10, r/10) a per-record call
+  // would compute — pow is a pure function, so precomputing the 256
   // possible results changes nothing but the call count.
   for (int r = -128; r <= 127; ++r) {
     weights_[static_cast<std::size_t>(r + 128)] =
@@ -21,47 +21,16 @@ Triangulator::Triangulator(const habitat::Habitat& habitat,
   }
 }
 
-double Triangulator::weight_of(int rssi_dbm) const {
-  // Linear received power as weight: w ~ 10^(rssi/10). With path-loss
-  // exponent ~2.2 this approximates inverse-square-distance weighting.
-  if (rssi_dbm >= -128 && rssi_dbm <= 127) {
-    return weights_[static_cast<std::size_t>(rssi_dbm + 128)];
-  }
-  return std::pow(10.0, static_cast<double>(rssi_dbm) / 10.0);
-}
-
-template <typename BeaconAt, typename RssiAt>
-Vec2 Triangulator::estimate_range(std::size_t begin, std::size_t end, BeaconAt beacon_at,
-                                  RssiAt rssi_at, habitat::RoomId room) const {
-  Vec2 acc{};
-  double total_w = 0.0;
-  // Scalar accumulation in record order: reordering the += chain would
-  // reassociate the float sums (docs/PERFORMANCE.md, determinism rules).
-  for (std::size_t k = begin; k < end; ++k) {
-    const io::BeaconId id = beacon_at(k);
-    if (id >= index_.size() || index_[id] >= beacons_.size()) continue;
-    const auto& b = beacons_[index_[id]];
-    if (b.room != room) continue;
-    const double w = weight_of(rssi_at(k));
-    acc += b.position * w;
-    total_w += w;
-  }
-  const auto& bounds = habitat_->room(room).bounds;
-  if (total_w <= 0.0) return bounds.center();
-  return bounds.clamp(acc / total_w, 0.05);
-}
-
-template <typename TimeAt, typename BeaconAt, typename RssiAt>
-std::vector<PositionFix> Triangulator::fixes_impl(std::size_t n, TimeAt time_at,
-                                                  BeaconAt beacon_at, RssiAt rssi_at,
-                                                  const std::vector<RoomStay>& track) const {
+std::vector<PositionFix> Triangulator::fixes(const double* t_s, const io::BeaconId* beacon,
+                                             const std::int8_t* rssi_dbm, std::size_t n,
+                                             const std::vector<RoomStay>& track) const {
   std::vector<PositionFix> out;
   std::size_t i = 0;
   while (i < n) {
-    const double bin_start = time_at(i);
+    const double bin_start = t_s[i];
     const double bin_end = bin_start + bin_s_;
     const std::size_t begin = i;
-    while (i < n && time_at(i) < bin_end) ++i;
+    while (i < n && t_s[i] < bin_end) ++i;
     if (i == begin) {
       // A non-finite timestamp (or bin_s <= 0) makes the bin predicate
       // false for its own opening record; skip it or no progress is made.
@@ -71,31 +40,28 @@ std::vector<PositionFix> Triangulator::fixes_impl(std::size_t n, TimeAt time_at,
     const double t_mid = bin_start + bin_s_ / 2.0;
     const habitat::RoomId room = room_at_time(track, t_mid);
     if (room == habitat::RoomId::kNone) continue;
-    out.push_back(PositionFix{t_mid, estimate_range(begin, i, beacon_at, rssi_at, room), room});
+
+    // Power-weighted centroid of the bin's same-room beacons. Linear
+    // received power as weight, w ~ 10^(rssi/10): with path-loss exponent
+    // ~2.2 this approximates inverse-square-distance weighting. Scalar
+    // accumulation in record order: reordering the += chain would
+    // reassociate the float sums (docs/PERFORMANCE.md, determinism rules).
+    Vec2 acc{};
+    double total_w = 0.0;
+    for (std::size_t k = begin; k < i; ++k) {
+      const io::BeaconId id = beacon[k];
+      if (id >= index_.size() || index_[id] >= beacons_.size()) continue;
+      const auto& b = beacons_[index_[id]];
+      if (b.room != room) continue;
+      const double w = weights_[static_cast<std::size_t>(rssi_dbm[k] + 128)];
+      acc += b.position * w;
+      total_w += w;
+    }
+    const auto& bounds = habitat_->room(room).bounds;
+    const Vec2 position = total_w <= 0.0 ? bounds.center() : bounds.clamp(acc / total_w, 0.05);
+    out.push_back(PositionFix{t_mid, position, room});
   }
   return out;
-}
-
-Vec2 Triangulator::estimate(const std::vector<TimedRssi>& bin_obs, habitat::RoomId room) const {
-  return estimate_range(
-      0, bin_obs.size(), [&](std::size_t k) { return bin_obs[k].beacon; },
-      [&](std::size_t k) { return bin_obs[k].rssi_dbm; }, room);
-}
-
-std::vector<PositionFix> Triangulator::fixes(const std::vector<TimedRssi>& obs,
-                                             const std::vector<RoomStay>& track) const {
-  return fixes_impl(
-      obs.size(), [&](std::size_t k) { return obs[k].t_s; },
-      [&](std::size_t k) { return obs[k].beacon; },
-      [&](std::size_t k) { return obs[k].rssi_dbm; }, track);
-}
-
-std::vector<PositionFix> Triangulator::fixes(const double* t_s, const io::BeaconId* beacon,
-                                             const std::int8_t* rssi_dbm, std::size_t n,
-                                             const std::vector<RoomStay>& track) const {
-  return fixes_impl(
-      n, [&](std::size_t k) { return t_s[k]; }, [&](std::size_t k) { return beacon[k]; },
-      [&](std::size_t k) { return static_cast<int>(rssi_dbm[k]); }, track);
 }
 
 }  // namespace hs::locate

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 
 #include "util/simd.hpp"
 
@@ -15,20 +14,12 @@ bool Meeting::involves(std::size_t who) const {
 
 namespace {
 
-/// Raster span in whole seconds for [t0_s, t1_s) — shared by both
-/// detect_meetings formulations so they agree on boundary rounding.
-std::size_t raster_span(double t0_s, double t1_s) {
-  return static_cast<std::size_t>(std::max(0.0, t1_s - t0_s));
-}
-
 /// Runs of occ[t] >= 2 with sub-grace dips bridged, then sub-grace
-/// separated runs merged, then the duration/participant filters — the
-/// state machine both formulations share. `present_in` counts how many of
-/// the seconds in [begin, end) astronaut i spent in `room`.
-template <typename PresentIn>
-void emit_room_meetings(const std::uint16_t* occ, std::size_t span, std::size_t n,
-                        habitat::RoomId room, double t0_s, const MeetingParams& params,
-                        PresentIn present_in, std::vector<Meeting>& meetings) {
+/// separated runs merged, then the duration/participant filters. `raster`
+/// is the astronaut-major room raster (n rows of `span` seconds).
+void emit_room_meetings(const std::uint16_t* occ, const std::uint8_t* raster, std::size_t span,
+                        std::size_t n, habitat::RoomId room, double t0_s,
+                        const MeetingParams& params, std::vector<Meeting>& meetings) {
   std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
   std::size_t t = 0;
   while (t < span) {
@@ -68,16 +59,12 @@ void emit_room_meetings(const std::uint16_t* occ, std::size_t span, std::size_t 
     m.end_s = t0_s + static_cast<double>(end);
     // Participants: present for at least 30% of the meeting.
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t present = present_in(i, begin, end);
+      const std::size_t present = util::simd::count_eq_u8(raster + i * span + begin, end - begin,
+                                                          static_cast<std::uint8_t>(room));
       if (static_cast<double>(present) >= 0.3 * duration) m.participants.push_back(i);
     }
     if (m.participants.size() >= 2) meetings.push_back(std::move(m));
   }
-}
-
-void sort_by_start(std::vector<Meeting>& meetings) {
-  std::sort(meetings.begin(), meetings.end(),
-            [](const Meeting& a, const Meeting& b) { return a.start_s < b.start_s; });
 }
 
 }  // namespace
@@ -85,14 +72,12 @@ void sort_by_start(std::vector<Meeting>& meetings) {
 std::vector<Meeting> detect_meetings(std::span<const TrackView> tracks, double t0_s,
                                      double t1_s, MeetingParams params) {
   const std::size_t n = tracks.size();
-  const std::size_t span = raster_span(t0_s, t1_s);
+  const auto span = static_cast<std::size_t>(std::max(0.0, t1_s - t0_s));  // whole seconds
   if (span == 0 || n == 0) return {};
 
   // Occupancy raster, astronaut-major: raster[i * span + t] = room of
   // astronaut i at second t0+t. Filling one contiguous track row at a
-  // time keeps the cursor in registers and the writes sequential; the
-  // per-cell expressions are the reference's exactly, so the raster holds
-  // the same bytes in a different layout.
+  // time keeps the cursor in registers and the writes sequential.
   std::vector<std::uint8_t> raster(n * span);
   for (std::size_t i = 0; i < n; ++i) {
     const TrackView track = tracks[i];
@@ -119,14 +104,10 @@ std::vector<Meeting> detect_meetings(std::span<const TrackView> tracks, double t
       const std::uint8_t* row = raster.data() + i * span;
       for (std::size_t t = 0; t < span; ++t) occ[t] += row[t] == rv ? 1 : 0;
     }
-    emit_room_meetings(
-        occ.data(), span, n, room, t0_s, params,
-        [&](std::size_t i, std::size_t begin, std::size_t end) {
-          return util::simd::count_eq_u8(raster.data() + i * span + begin, end - begin, rv);
-        },
-        meetings);
+    emit_room_meetings(occ.data(), raster.data(), span, n, room, t0_s, params, meetings);
   }
-  sort_by_start(meetings);
+  std::sort(meetings.begin(), meetings.end(),
+            [](const Meeting& a, const Meeting& b) { return a.start_s < b.start_s; });
   return meetings;
 }
 
@@ -134,50 +115,6 @@ std::vector<Meeting> detect_meetings(const std::vector<std::vector<locate::RoomS
                                      double t0_s, double t1_s, MeetingParams params) {
   std::vector<TrackView> views(tracks.begin(), tracks.end());
   return detect_meetings(std::span<const TrackView>(views), t0_s, t1_s, params);
-}
-
-std::vector<Meeting> detect_meetings_rowwise(
-    const std::vector<std::vector<locate::RoomStay>>& tracks, double t0_s, double t1_s,
-    MeetingParams params) {
-  const std::size_t n = tracks.size();
-  const std::size_t span = raster_span(t0_s, t1_s);
-  if (span == 0 || n == 0) return {};
-
-  // Occupancy raster: rooms[t][i] = room of astronaut i at second t0+t.
-  // One pass with per-track cursors keeps this linear.
-  std::vector<std::size_t> cursor(n, 0);
-  std::vector<std::vector<habitat::RoomId>> rooms(span, std::vector<habitat::RoomId>(n));
-  for (std::size_t t = 0; t < span; ++t) {
-    const double now = t0_s + static_cast<double>(t);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& track = tracks[i];
-      auto& c = cursor[i];
-      while (c < track.size() && track[c].end_s <= now) ++c;
-      rooms[t][i] = (c < track.size() && track[c].start_s <= now) ? track[c].room
-                                                                  : habitat::RoomId::kNone;
-    }
-  }
-
-  std::vector<Meeting> meetings;
-  std::vector<std::uint16_t> occ(span);
-  for (const auto room : habitat::all_rooms()) {
-    if (room == habitat::RoomId::kHangar) continue;  // no coverage there
-    for (std::size_t t = 0; t < span; ++t) {
-      int o = 0;
-      for (std::size_t i = 0; i < n; ++i) o += rooms[t][i] == room ? 1 : 0;
-      occ[t] = static_cast<std::uint16_t>(o);
-    }
-    emit_room_meetings(
-        occ.data(), span, n, room, t0_s, params,
-        [&](std::size_t i, std::size_t begin, std::size_t end) {
-          std::size_t present = 0;
-          for (std::size_t tt = begin; tt < end; ++tt) present += rooms[tt][i] == room ? 1 : 0;
-          return present;
-        },
-        meetings);
-  }
-  sort_by_start(meetings);
-  return meetings;
 }
 
 namespace {
@@ -189,10 +126,9 @@ struct SlotEntry {
   const dsp::SpeechInterval* iv = nullptr;
 };
 
-/// Shared slot walk: entries grouped by interval start (ascending), pi
-/// ascending within a group — the iteration order of the reference's
-/// std::map<start, vector<(pi, iv)>>. Applies loudest-badge-wins
-/// attribution per slot.
+/// Slot walk over entries grouped by interval start (ascending), pi
+/// ascending within a group. Applies loudest-badge-wins attribution per
+/// slot.
 MeetingDynamics dynamics_from_slots(const std::vector<SlotEntry>& entries,
                                     std::size_t participant_count) {
   MeetingDynamics dyn;
@@ -246,8 +182,7 @@ MeetingDynamics analyze_meeting(const Meeting& meeting, std::span<const SpeechVi
   // Collect each participant's 15 s intervals overlapping the meeting into
   // one flat vector (pi-major, time-sorted within), then a stable sort by
   // start groups the slots: equal starts keep insertion order, i.e. pi
-  // ascending — the reference map's bucket order — without the per-slot
-  // node allocations.
+  // ascending, so a tied loudest level goes to the lower participant.
   std::vector<SlotEntry> entries;
   for (std::size_t pi = 0; pi < meeting.participants.size(); ++pi) {
     const std::size_t who = meeting.participants[pi];
@@ -267,27 +202,6 @@ MeetingDynamics analyze_meeting(const Meeting& meeting,
                                 const std::vector<std::vector<dsp::SpeechInterval>>& speech) {
   std::vector<SpeechView> views(speech.begin(), speech.end());
   return analyze_meeting(meeting, std::span<const SpeechView>(views));
-}
-
-MeetingDynamics analyze_meeting_rowwise(
-    const Meeting& meeting, const std::vector<std::vector<dsp::SpeechInterval>>& speech) {
-  // Collect each participant's 15 s intervals overlapping the meeting,
-  // keyed by interval start (intervals are globally aligned).
-  std::map<double, std::vector<std::pair<std::size_t, const dsp::SpeechInterval*>>> slots;
-  for (std::size_t pi = 0; pi < meeting.participants.size(); ++pi) {
-    const std::size_t who = meeting.participants[pi];
-    if (who >= speech.size()) continue;
-    for (const auto& iv : speech[who]) {
-      if (iv.start_s + 15.0 <= meeting.start_s) continue;
-      if (iv.start_s >= meeting.end_s) break;
-      slots[iv.start_s].emplace_back(pi, &iv);
-    }
-  }
-  std::vector<SlotEntry> entries;
-  for (const auto& [start, group] : slots) {
-    for (const auto& [pi, iv] : group) entries.push_back(SlotEntry{start, pi, iv});
-  }
-  return dynamics_from_slots(entries, meeting.participants.size());
 }
 
 double pair_meeting_seconds(const std::vector<Meeting>& meetings, std::size_t i, std::size_t j,

@@ -1,18 +1,18 @@
-// Serial ≡ parallel ≡ columnar: the pipeline's contract is that
-// PipelineOptions::threads and PipelineOptions::columnar change
-// wall-clock time only. This suite runs the full 14-day mission on two
-// seeds and demands bit-identical output — every figure, table,
-// statistic, and intermediate product — across the four configurations
-// {row-wise, columnar} x {threads=1, threads=4}, with the row-wise
-// serial pipeline as the reference.
+// Serial ≡ parallel: the pipeline's contract is that
+// PipelineOptions::threads changes wall-clock time only. This suite runs
+// the full 14-day mission on two seeds and demands bit-identical output
+// — every figure, table, statistic, and intermediate product — from the
+// serial pipeline (threads=1, the reference) and a pooled one
+// (threads=4, or the hardware thread count for the mission dumps).
 //
 // Exact floating-point equality is intentional: every shard writes only
 // its own slot and every cross-shard fold happens serially in a fixed
-// order (see docs/CONCURRENCY.md), the columnar path evaluates every
-// predicate with the same promotions as the row-wise code (see
-// docs/PERFORMANCE.md), so there is no legitimate source of divergence.
-// A tolerance here would only hide a broken shard boundary or an inexact
-// SIMD kernel.
+// order (see docs/CONCURRENCY.md), so there is no legitimate source of
+// divergence. A tolerance here would only hide a broken shard boundary.
+// What the serial values themselves must be is pinned elsewhere:
+// tests/repro_test.cpp digests every output of the seed-42 mission and
+// tests/record_batch_test.cpp checks the pipeline against a per-record
+// attribution oracle.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -43,10 +43,8 @@ struct MissionDumps {
 /// Run the full mission and the analysis (which folds its pipeline.*
 /// metrics and trace spans into the same registry/tracer), then dump
 /// every deterministic text export. The obs contract: each string is a
-/// pure function of (seed, plan, threads, columnar) — and independent
-/// of `threads` and `columnar` entirely.
-MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned threads,
-                           bool columnar) {
+/// pure function of (seed, plan) — independent of `threads` entirely.
+MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned threads) {
   MissionConfig config;
   config.seed = seed;
   config.fault_plan = std::move(plan);
@@ -65,7 +63,6 @@ MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned 
   const Dataset data = runner.run();
   PipelineOptions opts;
   opts.threads = threads;
-  opts.columnar = columnar;
   opts.metrics = &runner.metrics();
   opts.tracer = &runner.tracer();
   const AnalysisPipeline pipeline(data, opts);
@@ -87,8 +84,7 @@ void expect_same_series(const AnalysisPipeline::DailySeries& a,
 }
 
 /// Demand bit-identical output from two pipelines over the same dataset.
-/// `serial` is the reference configuration, `parallel` the one under test
-/// (any threads/columnar combination).
+/// `serial` is the reference configuration, `parallel` the one under test.
 void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& serial,
                                 const AnalysisPipeline& parallel) {
   // Intermediate products: clock fits, tracks, speech intervals.
@@ -176,10 +172,7 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
   EXPECT_EQ(serial.voice_census(), parallel.voice_census());
 
-  // Meetings and their speech dynamics (day 5, mid-mission): row mode
-  // runs the row-wise reference formulations, columnar mode the raster/
-  // merge fast paths over borrowed views — the artifact-layer port's
-  // equivalence pin (docs/PERFORMANCE.md, "Artifact layer").
+  // Meetings and their speech dynamics (day 5, mid-mission).
   const auto ms = serial.meetings_on(5);
   const auto mp = parallel.meetings_on(5);
   ASSERT_EQ(ms.size(), mp.size());
@@ -196,29 +189,15 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
 }
 
-/// The full matrix: the row-wise serial pipeline is the reference;
-/// row-wise parallel, columnar serial, and columnar parallel must each
-/// reproduce it bit-for-bit (which also makes them identical pairwise).
+/// The serial pipeline is the reference; a 4-thread pipeline must
+/// reproduce it bit-for-bit.
 void expect_identical(const Dataset& data) {
-  auto make = [&](unsigned threads, bool columnar) {
+  auto make = [&](unsigned threads) {
     PipelineOptions opts;
     opts.threads = threads;
-    opts.columnar = columnar;
     return AnalysisPipeline(data, opts);
   };
-  const AnalysisPipeline reference = make(1, false);
-  {
-    SCOPED_TRACE("row-wise threads=4");
-    expect_pipelines_identical(data, reference, make(4, false));
-  }
-  {
-    SCOPED_TRACE("columnar threads=1");
-    expect_pipelines_identical(data, reference, make(1, true));
-  }
-  {
-    SCOPED_TRACE("columnar threads=4");
-    expect_pipelines_identical(data, reference, make(4, true));
-  }
+  expect_pipelines_identical(data, make(1), make(4));
 }
 
 TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed42) {
@@ -230,16 +209,14 @@ TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed7) {
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
-  // Row-wise serial vs columnar parallel: one byte-equality covers both
-  // the thread and the layout axis of the contract.
-  const MissionDumps serial = mission_dumps(42, {}, 1, /*columnar=*/false);
-  const MissionDumps parallel = mission_dumps(42, {}, hardware_threads(), /*columnar=*/true);
+  const MissionDumps serial = mission_dumps(42, {}, 1);
+  const MissionDumps parallel = mission_dumps(42, {}, hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
-  // Same seed, same thread count, same layout, fresh run: repeatability,
-  // not just thread independence.
-  const MissionDumps again = mission_dumps(42, {}, hardware_threads(), /*columnar=*/true);
+  // Same seed, same thread count, fresh run: repeatability, not just
+  // thread independence.
+  const MissionDumps again = mission_dumps(42, {}, hardware_threads());
   EXPECT_EQ(parallel.metrics_csv, again.metrics_csv);
   EXPECT_EQ(parallel.flight_log_csv, again.flight_log_csv);
   EXPECT_EQ(parallel.trace_csv, again.trace_csv);
@@ -282,10 +259,8 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed7) {
-  // The layout axes flipped relative to the seed-42 test: columnar
-  // serial vs row-wise parallel.
-  const MissionDumps serial = mission_dumps(7, {}, 1, /*columnar=*/true);
-  const MissionDumps parallel = mission_dumps(7, {}, hardware_threads(), /*columnar=*/false);
+  const MissionDumps serial = mission_dumps(7, {}, 1);
+  const MissionDumps parallel = mission_dumps(7, {}, hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
@@ -295,10 +270,9 @@ TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
   // The kitchen-sink preset fires every fault kind; fault bookkeeping,
   // alert storms and degraded-I/O counters all land in the dump, and it
   // still may not depend on the pipeline's thread count.
-  const MissionDumps serial = mission_dumps(42, faults::FaultPlan::combined(42), 1,
-                                            /*columnar=*/false);
+  const MissionDumps serial = mission_dumps(42, faults::FaultPlan::combined(42), 1);
   const MissionDumps parallel =
-      mission_dumps(42, faults::FaultPlan::combined(42), hardware_threads(), /*columnar=*/true);
+      mission_dumps(42, faults::FaultPlan::combined(42), hardware_threads());
   EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
@@ -320,16 +294,14 @@ TEST(DeterminismTest, CascadeMissionKeepsTheContractSeeds7And42) {
   // expands dependency-graph fault propagation into a flat plan before
   // the mission starts, and that plan rides the stock injector — so the
   // dumps must stay a pure function of the seed, byte-identical between
-  // the serial reference and the hardware-thread columnar run.
+  // the serial reference and the hardware-thread run.
   for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{42}}) {
     const scenario::ScenarioSpec spec = scenario::ScenarioSpec::generated(seed);
     const auto expanded = scenario::expand_scenario(spec, seed);
     ASSERT_TRUE(expanded.has_value()) << expanded.error().message;
     ASSERT_FALSE(expanded->cascade.plan.empty());
-    const MissionDumps serial = mission_dumps(seed, expanded->cascade.plan, 1,
-                                              /*columnar=*/false);
-    const MissionDumps parallel = mission_dumps(seed, expanded->cascade.plan,
-                                                hardware_threads(), /*columnar=*/true);
+    const MissionDumps serial = mission_dumps(seed, expanded->cascade.plan, 1);
+    const MissionDumps parallel = mission_dumps(seed, expanded->cascade.plan, hardware_threads());
     EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv) << "seed " << seed;
     EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv) << "seed " << seed;
     EXPECT_EQ(serial.trace_csv, parallel.trace_csv) << "seed " << seed;

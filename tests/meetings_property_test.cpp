@@ -7,11 +7,11 @@
 // room) belong to the same meeting iff b - a < grace + 1. The oracle
 // implements *that* formulation directly — per-second co-presence from a
 // linear track scan, clustered by the gap rule — so it shares no code or
-// structure with either production implementation (the raster fast path
-// or the row-wise reference); any disagreement flags a bug in one of the
-// three (cf. the cross-validation argument in PAPERS.md's CTMC
+// structure with the production raster; any disagreement flags a bug in
+// one of the two (cf. the cross-validation argument in PAPERS.md's CTMC
 // habitat-monitoring entry). Randomized room tracks sweep fractional stay
-// boundaries, overlapping gaps, hangar visits, and empty tracks.
+// boundaries, overlapping gaps, hangar visits, and empty tracks; the
+// hand-written sna_test fixtures run through the same oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -132,7 +132,7 @@ void expect_same_meetings(const std::vector<Meeting>& got, const std::vector<Mee
 
 class MeetingsProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MeetingsProperty, FastAndRowwiseMatchOracle) {
+TEST_P(MeetingsProperty, MatchesOracle) {
   Rng rng(GetParam());
   // Mix of param regimes: the defaults and a tight grace/short-meeting
   // setting that makes bridging and merging fire often.
@@ -148,38 +148,64 @@ TEST_P(MeetingsProperty, FastAndRowwiseMatchOracle) {
     for (std::size_t i = 0; i < crew; ++i) tracks.push_back(random_track(rng, t0, t1));
 
     const auto want = oracle_meetings(tracks, t0, t1, params);
-    auto fast = detect_meetings(tracks, t0, t1, params);
-    auto rowwise = detect_meetings_rowwise(tracks, t0, t1, params);
+    auto got = detect_meetings(tracks, t0, t1, params);
 
     // Invariants before canonicalization: output sorted by start,
     // participants sorted and unique, duration above the floor, bounds
     // inside the window.
-    for (const auto& meetings : {fast, rowwise}) {
-      for (std::size_t i = 1; i < meetings.size(); ++i) {
-        EXPECT_LE(meetings[i - 1].start_s, meetings[i].start_s);
-      }
-      for (const auto& m : meetings) {
-        EXPECT_TRUE(std::is_sorted(m.participants.begin(), m.participants.end()));
-        EXPECT_TRUE(std::adjacent_find(m.participants.begin(), m.participants.end()) ==
-                    m.participants.end());
-        EXPECT_GE(m.participants.size(), 2u);
-        EXPECT_GE(m.duration_s(), params.min_duration_s);
-        EXPECT_GE(m.start_s, t0);
-        EXPECT_LE(m.end_s, t1);
-        EXPECT_NE(m.room, RoomId::kHangar);
-        EXPECT_NE(m.room, RoomId::kNone);
-      }
+    for (std::size_t i = 1; i < got.size(); ++i) {
+      EXPECT_LE(got[i - 1].start_s, got[i].start_s);
+    }
+    for (const auto& m : got) {
+      EXPECT_TRUE(std::is_sorted(m.participants.begin(), m.participants.end()));
+      EXPECT_TRUE(std::adjacent_find(m.participants.begin(), m.participants.end()) ==
+                  m.participants.end());
+      EXPECT_GE(m.participants.size(), 2u);
+      EXPECT_GE(m.duration_s(), params.min_duration_s);
+      EXPECT_GE(m.start_s, t0);
+      EXPECT_LE(m.end_s, t1);
+      EXPECT_NE(m.room, RoomId::kHangar);
+      EXPECT_NE(m.room, RoomId::kNone);
     }
 
-    sort_canonical(fast);
-    sort_canonical(rowwise);
-    expect_same_meetings(fast, want, "fast vs oracle", GetParam());
-    expect_same_meetings(rowwise, want, "rowwise vs oracle", GetParam());
+    sort_canonical(got);
+    expect_same_meetings(got, want, "detect_meetings vs oracle", GetParam());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeetingsProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u));
+
+TEST(MeetingsPropertyEdge, UnitFixturesMatchOracle) {
+  // The hand-written sna_test fixtures: a pair that splits up, a pair
+  // watched by a third in another room, a brief exit bridged by grace,
+  // two rooms with a meeting each, and an empty crew.
+  const std::vector<std::vector<std::vector<RoomStay>>> fixtures{
+      {{{RoomId::kKitchen, 0.0, 120.0}},
+       {{RoomId::kKitchen, 0.0, 60.0}, {RoomId::kOffice, 60.0, 120.0}}},
+      {{{RoomId::kKitchen, 100.0, 400.0}},
+       {{RoomId::kKitchen, 100.0, 400.0}},
+       {{RoomId::kOffice, 0.0, 500.0}}},
+      {{{RoomId::kKitchen, 0.0, 600.0}},
+       {{RoomId::kKitchen, 0.0, 280.0}, {RoomId::kKitchen, 300.0, 600.0}}},
+      {{{RoomId::kKitchen, 0.0, 300.0}},
+       {{RoomId::kKitchen, 0.0, 300.0}},
+       {{RoomId::kOffice, 0.0, 300.0}},
+       {{RoomId::kOffice, 0.0, 300.0}}},
+      {},
+  };
+  const MeetingParams params;
+  std::size_t total = 0;
+  for (std::size_t f = 0; f < fixtures.size(); ++f) {
+    auto got = detect_meetings(fixtures[f], 0.0, 600.0, params);
+    sort_canonical(got);
+    expect_same_meetings(got, oracle_meetings(fixtures[f], 0.0, 600.0, params), "fixture", f);
+    total += got.size();
+  }
+  // 60 s together is too short for the pair that splits up; the next two
+  // fixtures hold one meeting each and the two-room fixture two.
+  EXPECT_EQ(total, 4u);
+}
 
 TEST(MeetingsPropertyEdge, EmptyWindowAndEmptyCrew) {
   const std::vector<std::vector<RoomStay>> none;

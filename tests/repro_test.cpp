@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
+#include "mesh/chunk.hpp"
 
 namespace hs::core {
 namespace {
@@ -392,6 +396,134 @@ TEST_F(IcaresReproduction, CsDataEndsAtDeath) {
   const auto& track = pipeline_->track(2);
   ASSERT_FALSE(track.empty());
   EXPECT_LT(track.back().end_s, static_cast<double>(day_start(5)) / 1e6);
+}
+
+// --- exact output pin -----------------------------------------------------------
+
+/// Byte buffer for mesh::fnv1a: integers as 8 little-endian bytes, doubles
+/// as their exact bit patterns, so one flipped bit anywhere changes it.
+class DigestBytes {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void series(const AnalysisPipeline::DailySeries& s) {
+    u64(static_cast<std::uint64_t>(s.first_day));
+    for (const auto& day : s.values) {
+      for (const double v : day) f64(v);
+    }
+  }
+  [[nodiscard]] std::uint64_t fnv1a() const { return mesh::fnv1a(bytes_); }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+TEST_F(IcaresReproduction, ArtifactDigestIsPinned) {
+  // The shape tests above tolerate drift; this one does not. Every value
+  // the pipeline hands out for the seed-42 mission folds into one digest:
+  // tracks, speech intervals, every artifacts() field, the Fig. 5
+  // timeline, meetings and their dynamics for every day, the voice census
+  // and the gap report. A change that moves any output bit must update
+  // the constant and say why.
+  DigestBytes d;
+  for (std::size_t i = 0; i < crew::kCrewSize; ++i) {
+    d.u64(pipeline_->track(i).size());
+    for (const auto& s : pipeline_->track(i)) {
+      d.u64(static_cast<std::uint64_t>(s.room));
+      d.f64(s.start_s);
+      d.f64(s.end_s);
+    }
+    d.u64(pipeline_->speech_intervals(i).size());
+    for (const auto& iv : pipeline_->speech_intervals(i)) {
+      d.f64(iv.start_s);
+      d.u64(iv.speech ? 1 : 0);
+      d.f64(iv.mean_voiced_db);
+      d.f64(iv.dominant_f0_hz);
+      d.u64(iv.voiced_frames);
+      d.u64(iv.total_frames);
+    }
+  }
+
+  const auto a = pipeline_->artifacts();
+  for (const auto& row : a.fig2.counts()) {
+    for (const int c : row) d.u64(static_cast<std::uint64_t>(c));
+  }
+  for (const auto& heat : a.fig3) {
+    d.f64(heat.total_seconds());
+    for (const auto& row : heat.grid_rows()) {
+      for (const double v : row) d.f64(v);
+    }
+  }
+  d.series(a.fig4);
+  d.series(a.fig6);
+  for (const auto& row : a.table1) {
+    d.u64(static_cast<std::uint64_t>(row.id));
+    d.u64(row.has_social ? 1 : 0);
+    d.f64(row.company);
+    d.f64(row.authority);
+    d.f64(row.talking);
+    d.f64(row.walking);
+  }
+  d.f64(a.dataset.total_gib);
+  d.f64(a.dataset.worn_of_daytime);
+  d.f64(a.dataset.active_of_daytime);
+  for (const double v : a.dataset.worn_by_day) d.f64(v);
+  d.u64(a.dataset.total_records);
+  d.f64(a.dwell.typical_biolab_h);
+  d.f64(a.dwell.typical_office_h);
+  d.f64(a.dwell.typical_workshop_h);
+  d.f64(a.pairs.af_private_h);
+  d.f64(a.pairs.de_private_h);
+  d.f64(a.pairs.af_meetings_h);
+  d.f64(a.pairs.de_meetings_h);
+  d.f64(a.survey.wellbeing_speech_corr);
+  d.f64(a.survey.comfort_slope_per_day);
+  d.u64(a.survey.responses);
+
+  for (int day = dataset_->first_day(); day <= dataset_->last_day(); ++day) {
+    for (const auto& row : pipeline_->fig5_timeline(day)) {
+      for (const auto& bin : row) {
+        d.f64(bin.start_s);
+        d.u64(static_cast<std::uint64_t>(bin.room));
+        d.f64(bin.speech_fraction);
+        d.f64(bin.loudness_db);
+      }
+    }
+    for (const auto& m : pipeline_->meetings_on(day)) {
+      d.u64(static_cast<std::uint64_t>(m.room));
+      d.f64(m.start_s);
+      d.f64(m.end_s);
+      for (const std::size_t p : m.participants) d.u64(p);
+      const auto dyn = pipeline_->meeting_dynamics(m);
+      d.f64(dyn.speech_fraction);
+      d.f64(dyn.mean_loudness_db);
+      for (const double share : dyn.talk_share) d.f64(share);
+    }
+  }
+
+  for (const auto voice : pipeline_->voice_census()) d.u64(static_cast<std::uint64_t>(voice));
+  const auto gaps = pipeline_->gap_report();
+  for (const auto& b : gaps.badges) {
+    d.u64(b.id);
+    d.u64(b.records);
+    d.u64(b.dropped_records);
+    d.u64(b.truncated_records);
+    d.u64(b.sync_samples);
+    d.f64(b.fit_residual_ms);
+    d.u64(b.fit_stepped ? 1 : 0);
+    d.f64(b.recorded_active_s);
+    d.f64(b.longest_gap_s);
+  }
+  d.u64(gaps.total_dropped);
+  d.u64(gaps.total_truncated);
+
+  EXPECT_EQ(d.fnv1a(), 0xf2529631eb6d9bdaULL) << std::hex << d.fnv1a();
 }
 
 }  // namespace
