@@ -8,7 +8,7 @@
 // habitats/sec plus aggregate records/sec for both. The two campaign
 // aggregate dumps must be byte-identical (the docs/CONCURRENCY.md
 // contract lifted to fleet level); any divergence prints the first
-// differing line and exits non-zero, so CI can run a small fleet as a
+// differing line and exits 1, so CI can run a small fleet as a
 // determinism smoke (scripts/ci.sh runs 8 habitats). An optional fourth
 // argument writes the (verified-identical) campaign dump to a file.
 //
@@ -16,9 +16,16 @@
 // (CampaignOptions::analyze), so the same two passes also time the
 // analysis and byte-compare its rolled-up pipeline.* metrics and
 // records_analyzed.
+//
+// Mission-throughput gate: when the working directory holds
+// BENCH_mission.json and the run's habitats, days and seed match the ones
+// it records, a plain (no --analyze) run exits 2 if the serial pass's
+// habitat-days/s falls below 0.75 x the recorded median.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -26,8 +33,51 @@
 #include "util/thread_pool.hpp"
 
 using namespace hs;
+using bench::find_number;
 using bench::report_diff;
 using bench::seconds_since;
+
+namespace {
+
+constexpr const char* kBaselinePath = "BENCH_mission.json";
+constexpr double kGateFloor = 0.75;
+
+/// Gate the serial pass's habitat-days/s against the checked-in baseline.
+/// Returns 2 below the floor, 0 otherwise (also when there is no baseline
+/// for this habitats/days/seed).
+int gate_on_baseline(int habitats, int days, std::uint64_t seed, double serial_rate) {
+  std::ifstream in(kBaselinePath, std::ios::binary);
+  if (!in) {
+    std::printf("# no %s in the working directory; not gating\n", kBaselinePath);
+    return 0;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  double base_habitats = 0.0;
+  double base_days = 0.0;
+  double base_seed = -1.0;
+  double base_rate = 0.0;
+  if (!find_number(text.str(), "habitats", 0, base_habitats) ||
+      !find_number(text.str(), "days", 0, base_days) ||
+      !find_number(text.str(), "seed", 0, base_seed) ||
+      !find_number(text.str(), "serial_habitat_days_per_s", 0, base_rate) ||
+      base_habitats != habitats || base_days != days || base_seed != static_cast<double>(seed) ||
+      base_rate <= 0.0) {
+    std::printf("# %s has no baseline for %d habitats x %d day(s), seed %llu; not gating\n",
+                kBaselinePath, habitats, days, static_cast<unsigned long long>(seed));
+    return 0;
+  }
+  const double ratio = serial_rate / base_rate;
+  std::printf("# serial %.3f habitat-days/s vs %s %.3f: %.2fx (floor %.2fx)\n", serial_rate,
+              kBaselinePath, base_rate, ratio, kGateFloor);
+  if (ratio < kGateFloor) {
+    std::printf("# REGRESSION: serial mission throughput more than 25%% below the baseline\n");
+    return 2;
+  }
+  return 0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bool analyze = false;
@@ -61,6 +111,7 @@ int main(int argc, char** argv) {
   std::printf("%-12s %10s %14s %18s\n", "threads", "wall_s", "habitats/s", "agg_records/s");
 
   std::string dumps[2];
+  double serial_wall = 0.0;
   for (int pass = 0; pass < 2; ++pass) {
     fleet::CampaignOptions options;
     options.threads = pass == 0 ? 1 : hw;
@@ -73,6 +124,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     dumps[pass] = result->to_csv();
+    if (pass == 0) serial_wall = wall;
     std::printf("%-12u %10.2f %14.2f %18.0f\n", options.threads, wall,
                 static_cast<double>(habitats) / wall,
                 static_cast<double>(result->records_written) / wall);
@@ -105,5 +157,7 @@ int main(int argc, char** argv) {
     std::fwrite(dumps[0].data(), 1, dumps[0].size(), out);
     std::fclose(out);
   }
-  return 0;
+  if (analyze) return 0;  // the baseline times the campaign without analysis
+  return gate_on_baseline(habitats, days, seed,
+                          static_cast<double>(habitats) * days / serial_wall);
 }

@@ -128,16 +128,16 @@ void Badge::tick_frames(SimTime now, const EnvironmentModel& env, Rng& rng) {
 }
 
 void Badge::scan_beacons(SimTime now, const std::vector<const beacon::Beacon*>& candidates,
-                         const radio::Channel& ble, Rng& rng) {
+                         std::span<const double> mean_dbm, const radio::Channel& ble, Rng& rng) {
   if (!active()) return;
   const io::LocalMs t = local_ms(now);
-  const Vec2 rx = position();
   for (const beacon::Beacon* b : candidates) {
     // A beacon sends ~ads_per_scan advertisements per scan window; the
     // badge logs the strongest decoded one.
+    const double mean = mean_dbm[b->id];
     std::optional<int> best;
     for (int i = 0; i < params_.ads_per_scan; ++i) {
-      if (const auto rssi = ble.try_receive(b->position, rx, rng)) {
+      if (const auto rssi = ble.try_receive_mean(mean, rng)) {
         if (!best || *rssi > *best) best = *rssi;
       }
     }

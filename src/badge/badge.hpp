@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "badge/battery.hpp"
 #include "badge/sdcard.hpp"
@@ -96,8 +97,10 @@ class Badge {
   void tick_frames(SimTime now, const EnvironmentModel& env, Rng& rng);
 
   /// BLE scan over candidate beacons; logs one BeaconObs per heard beacon.
+  /// `mean_dbm[id]` is the mean RSSI of the link from beacon `id` to this
+  /// badge's position (BadgeNetwork reuses it while the badge stands still).
   void scan_beacons(SimTime now, const std::vector<const beacon::Beacon*>& candidates,
-                    const radio::Channel& ble, Rng& rng);
+                    std::span<const double> mean_dbm, const radio::Channel& ble, Rng& rng);
 
   /// Receive a proximity ping from `sender` (already decoded at rssi_dbm).
   void receive_ping(SimTime now, io::BadgeId sender, int rssi_dbm, io::Band band);

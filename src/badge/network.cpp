@@ -1,5 +1,6 @@
 #include "badge/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "habitat/propagation.hpp"
@@ -63,24 +64,50 @@ const std::vector<const beacon::Beacon*>& BadgeNetwork::candidates_for(habitat::
   return candidates_[idx];
 }
 
+std::span<const double> BadgeNetwork::link_means(
+    std::size_t slot, Vec2 rx, const std::vector<const beacon::Beacon*>& beacons) {
+  double* mean = link_mean_.data() + slot * beacon_ids_;
+  std::uint8_t* known = link_known_.data() + slot * beacon_ids_;
+  if (!(scan_at_[slot] == rx)) {
+    std::fill_n(known, beacon_ids_, std::uint8_t{0});
+    scan_at_[slot] = rx;
+  }
+  for (const beacon::Beacon* bc : beacons) {
+    if (known[bc->id] != 0) continue;
+    mean[bc->id] = ble_.mean_rssi(bc->position, rx);
+    known[bc->id] = 1;
+  }
+  return {mean, beacon_ids_};
+}
+
 void BadgeNetwork::tick(SimTime now, Rng& rng) {
   assert(env_ != nullptr && "set_environment() before ticking");
+  if (scan_at_.size() != badges_.size()) {
+    beacon_ids_ = 0;
+    for (const auto& bc : beacons_) beacon_ids_ = std::max<std::size_t>(beacon_ids_, bc.id + 1u);
+    scan_at_.assign(badges_.size(), Vec2{});
+    link_mean_.assign(badges_.size() * beacon_ids_, 0.0);
+    link_known_.assign(badges_.size() * beacon_ids_, 0);
+  }
+
   // 1. Sensor frames + battery for every badge.
   for (auto& b : badges_) b->tick_frames(now, *env_, rng);
 
   // 2. BLE beacon scans.
-  for (auto& b : badges_) {
-    if (!b->active() || !b->due(now, b->params().scan_period_s)) continue;
-    const auto& all = candidates_for(habitat_->room_at(b->position()));
+  for (std::size_t slot = 0; slot < badges_.size(); ++slot) {
+    Badge& b = *badges_[slot];
+    if (!b.active() || !b.due(now, b.params().scan_period_s)) continue;
+    const Vec2 rx = b.position();
+    const auto& all = candidates_for(habitat_->room_at(rx));
     if (beacons_down_ == 0) {
-      b->scan_beacons(now, all, ble_, rng);
+      b.scan_beacons(now, all, link_means(slot, rx, all), ble_, rng);
     } else {
       // Outage active somewhere: scan over the audible, still-alive set.
       scan_scratch_.clear();
       for (const beacon::Beacon* bc : all) {
         if (!beacon_down(bc->id)) scan_scratch_.push_back(bc);
       }
-      b->scan_beacons(now, scan_scratch_, ble_, rng);
+      b.scan_beacons(now, scan_scratch_, link_means(slot, rx, scan_scratch_), ble_, rng);
     }
   }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "badge/badge.hpp"
@@ -67,6 +68,13 @@ class BadgeNetwork {
   /// put everything else > 30 dB below sensitivity, so they are skipped).
   [[nodiscard]] const std::vector<const beacon::Beacon*>& candidates_for(habitat::RoomId room) const;
 
+  /// BLE link means from `beacons` to badge `slot` at `rx`, indexed by
+  /// beacon id. A mean is computed only when the badge has moved since its
+  /// last scan or the beacon is new to it; mean_rssi is a pure function of
+  /// the two positions and the fixed geometry, so reuse is exact.
+  std::span<const double> link_means(std::size_t slot, Vec2 rx,
+                                     const std::vector<const beacon::Beacon*>& beacons);
+
   const habitat::Habitat* habitat_;
   std::vector<beacon::Beacon> beacons_;
   Vec2 station_;
@@ -84,6 +92,15 @@ class BadgeNetwork {
   std::vector<std::uint8_t> beacon_down_;
   std::size_t beacons_down_ = 0;
   std::vector<const beacon::Beacon*> scan_scratch_;
+  // BLE link-mean cache, one row of beacon_ids_ entries per badge slot:
+  // scan_at_[slot] is where the badge stood at its last scan, and
+  // link_mean_[slot * beacon_ids_ + id] the mean from beacon `id` to there,
+  // valid when link_known_ at the same index is set. Sized on the first
+  // tick, once every badge exists.
+  std::size_t beacon_ids_ = 0;
+  std::vector<Vec2> scan_at_;
+  std::vector<double> link_mean_;
+  std::vector<std::uint8_t> link_known_;
 };
 
 }  // namespace hs::badge

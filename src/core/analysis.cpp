@@ -370,13 +370,18 @@ std::vector<std::vector<AnalysisPipeline::TimelineBin>> AnalysisPipeline::fig5_t
           bin.room = room;
         }
       }
-      // Speech within the bin.
+      // Speech within the bin: intervals are sorted by start_s, so the
+      // bin's first one is found by binary search.
+      const auto& intervals = persons_[i].speech;
       std::size_t total = 0;
       std::size_t speech = 0;
       double loud = 0.0;
       std::size_t loud_n = 0;
-      for (const auto& iv : persons_[i].speech) {
-        if (iv.start_s < bin.start_s) continue;
+      const auto first = std::lower_bound(
+          intervals.begin(), intervals.end(), bin.start_s,
+          [](const dsp::SpeechInterval& iv, double t) { return iv.start_s < t; });
+      for (auto it = first; it != intervals.end(); ++it) {
+        const auto& iv = *it;
         if (iv.start_s >= bin.start_s + bin_s) break;
         ++total;
         if (iv.speech) {

@@ -18,10 +18,10 @@ std::vector<BallotTally> tally_ballots(const std::map<ChunkKey, const MeshChunk*
     if (chunk->payload == nullptr) continue;
     if (chunk->kind == ChunkKind::kProposal) {
       ProposalItem item;
-      if (decode_proposal(*chunk->payload, item)) proposals.emplace(item.id, std::move(item));
+      if (decode_proposal(chunk->payload->bytes, item)) proposals.emplace(item.id, std::move(item));
     } else if (chunk->kind == ChunkKind::kVote) {
       VoteItem vote;
-      if (decode_vote(*chunk->payload, vote)) votes.push_back({vote, key});
+      if (decode_vote(chunk->payload->bytes, vote)) votes.push_back({vote, key});
     }
   }
 

@@ -81,8 +81,8 @@ MeshChunk make_chunk(ChunkKey key, ChunkKind kind, SimTime created_at,
   chunk.key = key;
   chunk.kind = kind;
   chunk.created_at = created_at;
-  chunk.checksum = fnv1a(payload);
-  chunk.payload = std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
+  chunk.payload = std::make_shared<const ChunkPayload>(std::move(payload));
+  chunk.checksum = chunk.payload->fnv;
   return chunk;
 }
 

@@ -8,7 +8,9 @@
 // anti-entropy digests stay tiny (see gossip.hpp). Payload bytes are
 // shared between replicas via shared_ptr: the simulation accounts
 // transfer bytes without physically duplicating a 150 GiB dataset per
-// node. docs/MESH.md documents the protocol around these.
+// node. The payload carries its FNV-1a, computed once when the bytes are
+// created, so verifying a replica is one integer compare.
+// docs/MESH.md documents the protocol around these.
 #pragma once
 
 #include <compare>
@@ -53,22 +55,35 @@ struct ChunkKey {
 /// building block of store digests.
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes);
 
+/// Immutable payload bytes plus their FNV-1a, hashed once on
+/// construction. Every replica of a chunk shares one ChunkPayload.
+struct ChunkPayload {
+  explicit ChunkPayload(std::vector<std::uint8_t> payload)
+      : bytes(std::move(payload)), fnv(fnv1a(bytes)) {}
+
+  const std::vector<std::uint8_t> bytes;
+  const std::uint64_t fnv;
+};
+
 struct MeshChunk {
   ChunkKey key;
   ChunkKind kind = ChunkKind::kRecords;
   /// Simulation instant the chunk was cut/published (reference timeline —
   /// nodes are wall-powered infrastructure with synchronized clocks).
   SimTime created_at = 0;
-  std::shared_ptr<const std::vector<std::uint8_t>> payload;
+  std::shared_ptr<const ChunkPayload> payload;
+  /// The FNV-1a the chunk claims for its payload; a node refuses a chunk
+  /// whose payload hash differs (corrupted transfer).
   std::uint64_t checksum = 0;
 
-  [[nodiscard]] std::size_t payload_bytes() const { return payload ? payload->size() : 0; }
+  [[nodiscard]] std::size_t payload_bytes() const { return payload ? payload->bytes.size() : 0; }
   /// Bytes on the wire: fixed header (kind, key, time, checksum, length)
   /// plus the payload.
   [[nodiscard]] std::size_t wire_bytes() const { return 27 + payload_bytes(); }
 };
 
-/// Build a chunk (computes the checksum, wraps the payload for sharing).
+/// Build a chunk: the only place payload bytes are hashed. The checksum
+/// is the new payload's fnv.
 MeshChunk make_chunk(ChunkKey key, ChunkKind kind, SimTime created_at,
                      std::vector<std::uint8_t> payload);
 

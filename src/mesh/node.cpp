@@ -4,7 +4,7 @@ namespace hs::mesh {
 
 bool MeshNode::insert(const MeshChunk& chunk) {
   if (down_) return false;
-  if (chunk.payload == nullptr || fnv1a(*chunk.payload) != chunk.checksum) return false;
+  if (chunk.payload == nullptr || chunk.payload->fnv != chunk.checksum) return false;
   if (!vv_[chunk.key.origin].insert(chunk.key.seq)) return false;
   stored_bytes_ += static_cast<std::int64_t>(chunk.payload_bytes());
   store_.emplace(chunk.key, chunk);

@@ -29,7 +29,8 @@ class MeshNode {
 
   /// Store a chunk. Returns false (and stores nothing) when the node is
   /// down, the chunk is a duplicate, or its checksum does not match its
-  /// payload (corrupted transfer).
+  /// payload's hash (corrupted transfer). The hash was computed once, when
+  /// the payload was built, so this is an integer compare.
   bool insert(const MeshChunk& chunk);
 
   /// Record knowledge of a chunk without storing a copy (cap_replicas

@@ -13,7 +13,7 @@ std::map<io::BadgeId, badge::SdCard> MeshReadView::rebuild_cards() const {
     if (key.origin >= kNodeOriginBase || chunk->kind != ChunkKind::kRecords) continue;
     OffloadVitals vitals;
     std::vector<std::uint8_t> binlog;
-    if (chunk->payload == nullptr || !decode_records_payload(*chunk->payload, vitals, binlog)) {
+    if (chunk->payload == nullptr || !decode_records_payload(chunk->payload->bytes, vitals, binlog)) {
       continue;
     }
     auto& card = cards[static_cast<io::BadgeId>(key.origin)];
@@ -82,7 +82,7 @@ void append_alerts(const std::map<ChunkKey, const MeshChunk*>& store,
     (void)key;
     if (chunk->kind != ChunkKind::kAlert) continue;
     support::Alert alert;
-    if (decode_alert(*chunk->payload, alert)) out.push_back(std::move(alert));
+    if (decode_alert(chunk->payload->bytes, alert)) out.push_back(std::move(alert));
   }
 }
 
@@ -100,7 +100,7 @@ std::vector<support::Alert> MeshReadView::alerts_at(NodeId node) const {
     (void)key;
     if (chunk.kind != ChunkKind::kAlert) continue;
     support::Alert alert;
-    if (decode_alert(*chunk.payload, alert)) out.push_back(std::move(alert));
+    if (decode_alert(chunk.payload->bytes, alert)) out.push_back(std::move(alert));
   }
   return out;
 }

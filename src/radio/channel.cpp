@@ -5,8 +5,11 @@
 
 namespace hs::radio {
 
-std::optional<int> Channel::try_receive(Vec2 tx, Vec2 rx, Rng& rng) const {
-  const double rssi = prop_.sample_rssi(tx, rx, rng) - extra_loss_db_;
+std::optional<int> Channel::try_receive_mean(double mean_dbm, Rng& rng) const {
+  // One fading realization (Propagation::sample_rssi's expression), then
+  // the fault loss on top.
+  const double faded = mean_dbm + rng.normal(0.0, prop_.params().shadow_sigma_db);
+  const double rssi = faded - extra_loss_db_;
   const double floor = prop_.params().sensitivity_dbm;
   if (rssi < floor) return std::nullopt;
   // Soft edge: frames within 3 dB of the floor still drop sometimes.

@@ -22,9 +22,16 @@ class Channel {
   /// Attempt to receive a single transmission. Returns the measured RSSI
   /// (dBm, quantized to integer as real radios report) or nullopt if the
   /// frame was not decodable.
-  std::optional<int> try_receive(Vec2 tx, Vec2 rx, Rng& rng) const;
+  std::optional<int> try_receive(Vec2 tx, Vec2 rx, Rng& rng) const {
+    return try_receive_mean(mean_rssi(tx, rx), rng);
+  }
 
-  /// Mean RSSI without fading (for tests and coverage analyses).
+  /// The same reception for a link whose mean RSSI (mean_rssi(tx, rx)) the
+  /// caller already holds, so a receiver that stands still pays for the
+  /// propagation model once. Makes exactly the draws try_receive makes.
+  std::optional<int> try_receive_mean(double mean_dbm, Rng& rng) const;
+
+  /// Mean RSSI without fading: the link mean try_receive_mean takes.
   [[nodiscard]] double mean_rssi(Vec2 tx, Vec2 rx) const { return prop_.mean_rssi(tx, rx); }
 
   [[nodiscard]] const habitat::ChannelParams& params() const { return prop_.params(); }

@@ -2,6 +2,8 @@
 // machine, sensor frames, scanning, and the badge network.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "badge/badge.hpp"
 #include "badge/network.hpp"
 #include "beacon/beacon.hpp"
@@ -233,13 +235,15 @@ TEST_F(BadgeTest, ScanLogsSameRoomBeacons) {
   StaticWearer wearer(kitchen_);
   badge_.put_on(&wearer, 0);
   const auto beacons = beacon::deploy_lunares_beacons(habitat_);
+  radio::Channel ble(habitat_, habitat::kBleChannel);
   std::vector<const beacon::Beacon*> candidates;
+  std::vector<double> mean_dbm(beacons.size());  // by beacon id (dense from 0)
   for (const auto& b : beacons) {
     if (b.room == habitat::RoomId::kKitchen) candidates.push_back(&b);
+    mean_dbm[b.id] = ble.mean_rssi(b.position, badge_.position());
   }
   ASSERT_GE(candidates.size(), 2u);
-  radio::Channel ble(habitat_, habitat::kBleChannel);
-  badge_.scan_beacons(0, candidates, ble, rng_);
+  badge_.scan_beacons(0, candidates, mean_dbm, ble, rng_);
   EXPECT_EQ(badge_.sd().beacon_obs().size(), candidates.size());
 }
 
@@ -314,6 +318,54 @@ TEST_F(NetworkTest, DockedBadgesSyncWithReference) {
   // Sync period is 300 s by default: tick through 20 minutes.
   for (int i = 0; i < 1200; ++i) network_.tick(seconds(i), rng_);
   EXPECT_GE(badge->sd().sync().size(), 3u);
+}
+
+/// BeaconObs logged by the tick at `t` (with Rng(7)) of a one-badge
+/// network whose wearer stands at `at`. With `warm_at`, the network has
+/// ticked once before with the wearer there, so the link means it cached
+/// belong to the old position. `down` lists dark beacons.
+std::vector<io::BeaconObs> obs_at(const habitat::Habitat& habitat,
+                                  const std::vector<beacon::Beacon>& beacons, Vec2 at,
+                                  std::optional<Vec2> warm_at, std::vector<io::BeaconId> down) {
+  FixedEnvironment env;
+  BadgeNetwork network(habitat, beacons, habitat.room(habitat::RoomId::kBedroom).bounds.center());
+  network.set_environment(env);
+  Badge* badge = network.add_badge(0, timesync::DriftingClock(0, 0.0, 0));
+  StaticWearer wearer(warm_at.value_or(at));
+  badge->put_on(&wearer, 0);
+  for (const io::BeaconId id : down) network.set_beacon_down(id, true);
+  const SimTime t = seconds(2);
+  if (warm_at) {
+    Rng warm(3);
+    network.tick(seconds(1), warm);
+    EXPECT_FALSE(badge->sd().beacon_obs().empty());
+    wearer.pos_ = at;
+  }
+  const std::size_t before = badge->sd().beacon_obs().size();
+  Rng rng(7);
+  network.tick(t, rng);
+  const auto& all = badge->sd().beacon_obs();
+  return {all.begin() + static_cast<std::ptrdiff_t>(before), all.end()};
+}
+
+TEST_F(NetworkTest, MovedBadgeDoesNotScanWithStaleLinkMeans) {
+  const auto& kitchen = habitat_.room(habitat::RoomId::kKitchen).bounds;
+  const Vec2 p1 = kitchen.center() + Vec2{-1.0, -1.0};
+  const Vec2 p2 = kitchen.center() + Vec2{1.0, 1.0};  // 2.8 m away, same candidate beacons
+  const auto fresh = obs_at(habitat_, beacons_, p2, std::nullopt, {});
+  ASSERT_FALSE(fresh.empty());
+  EXPECT_NE(fresh, obs_at(habitat_, beacons_, p1, std::nullopt, {}));  // the move is visible
+  EXPECT_EQ(obs_at(habitat_, beacons_, p2, p1, {}), fresh);
+
+  // The same with one of the kitchen beacons dark (the outage subset).
+  io::BeaconId dark = 0;
+  for (const auto& b : beacons_) {
+    if (b.room == habitat::RoomId::kKitchen) dark = b.id;
+  }
+  const auto fresh_outage = obs_at(habitat_, beacons_, p2, std::nullopt, {dark});
+  ASSERT_FALSE(fresh_outage.empty());
+  for (const auto& o : fresh_outage) EXPECT_NE(o.beacon, dark);
+  EXPECT_EQ(obs_at(habitat_, beacons_, p2, p1, {dark}), fresh_outage);
 }
 
 TEST_F(NetworkTest, TotalBytesAggregates) {

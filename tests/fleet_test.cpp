@@ -299,7 +299,7 @@ std::vector<support::BadgeHealth> merged_store_health(const mesh::MeshNetwork& m
   for (const auto& [badge, chunk] : newest) {
     mesh::OffloadVitals vitals;
     std::vector<std::uint8_t> binlog;
-    if (!decode_records_payload(*chunk->payload, vitals, binlog)) continue;
+    if (!decode_records_payload(chunk->payload->bytes, vitals, binlog)) continue;
     support::BadgeHealth h;
     h.t = chunk->created_at;
     h.badge = badge;

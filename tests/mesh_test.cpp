@@ -151,6 +151,31 @@ TEST(MeshNode, InsertValidatesAndDownWipes) {
   EXPECT_TRUE(node.insert(chunk));  // anti-entropy can re-heal after power-up
 }
 
+TEST(MeshNode, RefusesChunkCarryingAnotherPayload) {
+  MeshNode node(0, Vec2{0, 0}, habitat::RoomId::kAtrium);
+  const auto first = make_chunk(ChunkKey{1, 0}, ChunkKind::kRecords, 0, {1, 2, 3});
+  ASSERT_TRUE(node.insert(first));
+  // Key and checksum of a real chunk, but another chunk's payload bytes.
+  auto swapped = make_chunk(ChunkKey{1, 1}, ChunkKind::kRecords, 0, {4, 5});
+  swapped.payload = first.payload;
+  const VersionVector vv_before = node.version_vector();
+  EXPECT_FALSE(node.insert(swapped));
+  EXPECT_EQ(node.chunk_count(), 1u);
+  EXPECT_EQ(node.version_vector(), vv_before);
+  EXPECT_FALSE(node.has(ChunkKey{1, 1}));
+}
+
+TEST(ChunkPayload, HashesItsBytesOnce) {
+  const std::vector<std::uint8_t> empty;
+  const std::vector<std::uint8_t> bytes{0x00, 0x7f, 0x80, 0xff, 42};
+  EXPECT_EQ(ChunkPayload(empty).fnv, fnv1a(empty));
+  EXPECT_EQ(ChunkPayload(bytes).fnv, fnv1a(bytes));
+  EXPECT_EQ(ChunkPayload(bytes).bytes, bytes);
+  const auto chunk = make_chunk(ChunkKey{2, 0}, ChunkKind::kAlert, 0, bytes);
+  EXPECT_EQ(chunk.checksum, fnv1a(bytes));
+  EXPECT_EQ(chunk.payload->fnv, chunk.checksum);
+}
+
 // ------------------------------------------- standalone mesh (no mission)
 
 class StandaloneMesh : public ::testing::Test {

@@ -1,7 +1,11 @@
 // Unit tests for packet reception and the IR link model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "radio/channel.hpp"
 #include "radio/ir.hpp"
@@ -72,6 +76,58 @@ TEST_P(ChannelDistanceSweep, ReceptionProbabilityWithinBounds) {
 
 INSTANTIATE_TEST_SUITE_P(Distances, ChannelDistanceSweep,
                          ::testing::Values(0.5, 1.0, 2.0, 4.0, 6.0, 9.0));
+
+// A scan reuses one link mean for many frames: reception from the mean
+// must be try_receive exactly — same results and the same draws, so the
+// two generators end in the same state.
+TEST_F(ChannelTest, ReceptionFromMeanMatchesTryReceive) {
+  ble_.add_extra_loss_db(1.5);
+  const Vec2 tx = habitat_.room(habitat::RoomId::kKitchen).bounds.center();
+  // Receivers walk south out of the kitchen into the atrium, through the
+  // door aperture and through the wall beside it: strong links, near-floor
+  // ones (where the soft-edge bernoulli draws) and shielded ones.
+  std::vector<Vec2> rx;
+  for (double d = 0.3; d < 9.0; d += 0.37) {
+    rx.push_back(tx + Vec2{0.3, -d});
+    rx.push_back(tx + Vec2{1.5, -d});
+  }
+  bool near_floor = false;
+  for (const Vec2 r : rx) {
+    const double mean = ble_.mean_rssi(tx, r) - ble_.extra_loss_db();
+    near_floor = near_floor || std::abs(mean - ble_.params().sensitivity_dbm) < 3.0;
+  }
+  ASSERT_TRUE(near_floor);
+
+  // Reference: the reception as written before link means were reused,
+  // one shadowing sample of the full propagation model per frame.
+  const habitat::Propagation prop(habitat_, habitat::kBleChannel);
+  const auto reference = [&](Vec2 r, Rng& rng) -> std::optional<int> {
+    const double rssi = prop.sample_rssi(tx, r, rng) - ble_.extra_loss_db();
+    const double floor = ble_.params().sensitivity_dbm;
+    if (rssi < floor) return std::nullopt;
+    const double margin = rssi - floor;
+    if (margin < 3.0 && rng.bernoulli(0.5 * (1.0 - margin / 3.0))) return std::nullopt;
+    return static_cast<int>(std::lround(std::clamp(rssi, -127.0, 0.0)));
+  };
+
+  Rng a(5);
+  Rng b(5);
+  Rng c(5);
+  int decoded = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const Vec2 r = rx[static_cast<std::size_t>(i) % rx.size()];
+    const auto direct = ble_.try_receive(tx, r, a);
+    const auto from_mean = ble_.try_receive_mean(ble_.mean_rssi(tx, r), b);
+    ASSERT_EQ(direct, from_mean) << "draw " << i;
+    ASSERT_EQ(direct, reference(r, c)) << "draw " << i;
+    decoded += direct.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 10000);
+  const std::uint64_t next = a.next_u64();
+  EXPECT_EQ(b.next_u64(), next);
+  EXPECT_EQ(c.next_u64(), next);
+}
 
 // ------------------------------------------------------------------------ IR
 
