@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
   (void)runner.run_days(storm.days);
   std::printf("# storm habitat: %zu alerts raised\n", support.alerts().size());
 
-#if HS_OBS_ENABLED
   // record -> raise per evidenced alert: the shared query-layer readout
   // (bench/latency_paths regression-guards the same numbers).
   const obs::TraceIndex index(runner.tracer().spans());
@@ -152,8 +151,5 @@ int main(int argc, char** argv) {
                 latencies_s.size(), sum / static_cast<double>(latencies_s.size()),
                 latencies_s[latencies_s.size() / 2], latencies_s.back());
   }
-#else
-  std::printf("# record->raise latency: n/a (HS_OBS_ENABLED=0)\n");
-#endif
   return 0;
 }

@@ -173,15 +173,6 @@ std::string baseline_json(std::uint64_t seed, int days, const std::vector<Scenar
 }  // namespace
 
 int main(int argc, char** argv) {
-#if !HS_OBS_ENABLED
-  (void)argc;
-  (void)argv;
-  // The SLO is trace-derived: without the tracer there is nothing to
-  // measure, and that is fine — the noobs preset proves the harness
-  // degrades gracefully instead of failing the build.
-  std::printf("# latency_paths: n/a (HS_OBS_ENABLED=0)\n");
-  return 0;
-#else
   std::uint64_t seed = 42;
   int days = 2;
   std::string baseline_path = "BENCH_latency.json";
@@ -331,5 +322,4 @@ int main(int argc, char** argv) {
   }
   if (status == 0) std::printf("# p99 latencies within 10%% of %s\n", baseline_path.c_str());
   return status;
-#endif
 }

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical kernels:
 // the event queue, RF propagation, room classification, speech detection,
-// HITS, heatmaps, and the full one-second world tick.
+// HITS, heatmaps, the full one-second world tick, and the hs::obs hot
+// paths every instrumented call site pays (counter, histogram, span emit).
 #include <benchmark/benchmark.h>
 
 #include "badge/network.hpp"
@@ -10,6 +11,7 @@
 #include "habitat/propagation.hpp"
 #include "locate/room_classifier.hpp"
 #include "locate/triangulate.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulation.hpp"
 #include "sna/hits.hpp"
 #include "util/rng.hpp"
@@ -162,6 +164,60 @@ void BM_WorldTickOneSecond(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WorldTickOneSecond);
+
+// The obs hot paths. Handles are registered once, as on the real call
+// sites; ClobberMemory keeps the compiler from folding the loop into one
+// add, so each iteration pays a real load-modify-store.
+void BM_CounterInc(benchmark::State& state) {
+  obs::Registry reg;
+  obs::Counter& counter = reg.counter("bench.counter");
+  for (auto _ : state) {
+    counter.inc();
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(counter.value());
+}
+BENCHMARK(BM_CounterInc);
+
+void BM_HistogramObserve(benchmark::State& state) {
+  obs::Registry reg;
+  obs::Histogram& hist = reg.histogram("bench.histogram", {10.0, 100.0, 1000.0});
+  int i = 0;
+  for (auto _ : state) {
+    hist.observe(static_cast<double>(i++ % 2000));
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(hist.count());
+}
+BENCHMARK(BM_HistogramObserve);
+
+void BM_TracerEmit(benchmark::State& state) {
+  // Stored spans only: the tracer is replaced (untimed) when it fills, so
+  // every timed emit takes the store path, never the counted-drop path.
+  static constexpr std::size_t kSpans = std::size_t{1} << 16;
+  const auto fresh = [] {
+    obs::Tracer tracer(42, kSpans);
+    // The kind's default budget is half the cap; lift it so the cap alone
+    // decides when the tracer is full.
+    tracer.set_kind_budget(obs::SpanKind::kChunkOffload, 0);
+    return tracer;
+  };
+  obs::Tracer tracer = fresh();
+  const obs::TraceId trace = tracer.chunk_trace(0, 0);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    if (tracer.size() == kSpans) {
+      state.PauseTiming();
+      tracer = fresh();
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(
+        tracer.emit(trace, obs::SpanKind::kChunkOffload, obs::Subsys::kMesh, i, i, 0, 0, i));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TracerEmit);
 
 }  // namespace
 }  // namespace hs

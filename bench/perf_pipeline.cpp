@@ -60,8 +60,8 @@ constexpr double kGateFloor = 0.75;
 struct Timed {
   double seconds = 0.0;
   AnalysisPipeline::Artifacts artifacts;
-  /// Deterministic observability dumps (empty under HS_OBS_ENABLED=OFF,
-  /// identically for every thread count, so the byte-compare still holds).
+  /// Deterministic observability dumps, byte-identical for every thread
+  /// count.
   std::string metrics_csv;
   std::string trace_csv;
 };

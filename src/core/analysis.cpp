@@ -117,19 +117,16 @@ void AnalysisPipeline::assemble() {
   // front (badge ids are unique per Dataset); shards fill the values.
   std::vector<timesync::ClockFit*> fit_slot(nlogs);
   for (std::size_t i = 0; i < nlogs; ++i) fit_slot[i] = &fits_[logs[i].id];
-  {
-    obs::ProfileScope prof(tracer, "pipeline.rectify");
-    util::parallel_for(pool, nlogs, [&](std::size_t i) {
-      const auto& log = logs[i];
-      timesync::ClockFit fit;  // identity (rate 1, offset 0)
-      if (options_.rectify_clocks) {
-        timesync::OffsetEstimator est;
-        est.add_samples(log.card.sync());
-        if (auto fitted = est.fit(log.id)) fit = *fitted;
-      }
-      *fit_slot[i] = fit;
-    });
-  }
+  util::parallel_for(pool, nlogs, [&](std::size_t i) {
+    const auto& log = logs[i];
+    timesync::ClockFit fit;  // identity (rate 1, offset 0)
+    if (options_.rectify_clocks) {
+      timesync::OffsetEstimator est;
+      est.add_samples(log.card.sync());
+      if (auto fitted = est.fit(log.id)) fit = *fitted;
+    }
+    *fit_slot[i] = fit;
+  });
   trace_stage(nlogs);
 
   // 2. Worn/active intervals per badge from its wear events.
@@ -139,36 +136,33 @@ void AnalysisPipeline::assemble() {
     worn_slot[i] = &worn_[logs[i].id];
     active_slot[i] = &active_[logs[i].id];
   }
-  {
-    obs::ProfileScope prof(tracer, "pipeline.wear");
-    util::parallel_for(pool, nlogs, [&](std::size_t i) {
-      const auto& log = logs[i];
-      const auto& fit = *fit_slot[i];
-      auto& worn = *worn_slot[i];
-      auto& active = *active_slot[i];
-      constexpr double kNotOpen = -1.0;
-      double worn_since = kNotOpen;
-      double active_since = kNotOpen;
-      for (const auto& ev : log.card.wear()) {
-        const double t = fit.rectify(ev.t) / 1000.0;
-        const bool is_worn = ev.state == io::WearState::kWorn;
-        const bool is_active = ev.state != io::WearState::kOff;
-        if (is_worn && worn_since == kNotOpen) worn_since = t;
-        if (!is_worn && worn_since != kNotOpen) {
-          worn.emplace_back(worn_since, t);
-          worn_since = kNotOpen;
-        }
-        if (is_active && active_since == kNotOpen) active_since = t;
-        if (!is_active && active_since != kNotOpen) {
-          active.emplace_back(active_since, t);
-          active_since = kNotOpen;
-        }
+  util::parallel_for(pool, nlogs, [&](std::size_t i) {
+    const auto& log = logs[i];
+    const auto& fit = *fit_slot[i];
+    auto& worn = *worn_slot[i];
+    auto& active = *active_slot[i];
+    constexpr double kNotOpen = -1.0;
+    double worn_since = kNotOpen;
+    double active_since = kNotOpen;
+    for (const auto& ev : log.card.wear()) {
+      const double t = fit.rectify(ev.t) / 1000.0;
+      const bool is_worn = ev.state == io::WearState::kWorn;
+      const bool is_active = ev.state != io::WearState::kOff;
+      if (is_worn && worn_since == kNotOpen) worn_since = t;
+      if (!is_worn && worn_since != kNotOpen) {
+        worn.emplace_back(worn_since, t);
+        worn_since = kNotOpen;
       }
-      const double mission_end = static_cast<double>(day_start(dataset_->last_day() + 1)) / 1e6;
-      if (worn_since != kNotOpen) worn.emplace_back(worn_since, mission_end);
-      if (active_since != kNotOpen) active.emplace_back(active_since, mission_end);
-    });
-  }
+      if (is_active && active_since == kNotOpen) active_since = t;
+      if (!is_active && active_since != kNotOpen) {
+        active.emplace_back(active_since, t);
+        active_since = kNotOpen;
+      }
+    }
+    const double mission_end = static_cast<double>(day_start(dataset_->last_day() + 1)) / 1e6;
+    if (worn_since != kNotOpen) worn.emplace_back(worn_since, mission_end);
+    if (active_since != kNotOpen) active.emplace_back(active_since, mission_end);
+  });
   trace_stage(nlogs);
   if (worn_metric) {
     for (std::size_t i = 0; i < nlogs; ++i) worn_metric->inc(worn_slot[i]->size());
@@ -184,13 +178,10 @@ void AnalysisPipeline::assemble() {
   // order is the same for every thread count.
   std::vector<ColumnArena> arenas(nlogs);
   std::vector<RecordBatch> batches(nlogs);
-  {
-    obs::ProfileScope prof(tracer, "pipeline.attribute");
-    util::parallel_for(pool, nlogs, [&](std::size_t i) {
-      batches[i] =
-          RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i], arenas[i]);
-    });
-  }
+  util::parallel_for(pool, nlogs, [&](std::size_t i) {
+    batches[i] =
+        RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i], arenas[i]);
+  });
   trace_stage(nlogs);
   for (std::size_t i = 0; i < nlogs; ++i) {
     const RecordBatch& batch = batches[i];
@@ -245,19 +236,16 @@ void AnalysisPipeline::assemble() {
   // observations, which decides every track (see its doc comment).
   const locate::RoomClassifier classifier(dataset_->beacons, options_.classifier);
   const dsp::SpeechDetector speech(options_.speech);
-  {
-    obs::ProfileScope prof(tracer, "pipeline.derive");
-    util::parallel_for(pool, crew::kCrewSize, [&](std::size_t i) {
-      auto& p = persons_[i];
-      PersonColumns& pc = cols_[i];
-      sort_columns(pc);
-      p.track = classifier.classify(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(),
-                                    pc.obs_t.size());
-      p.speech = speech.analyze(pc.audio_t.data(), pc.audio_level_db.data(),
-                                pc.audio_voiced.data(), pc.audio_f0.data(), pc.audio_t.size(),
-                                0.0);
-    });
-  }
+  util::parallel_for(pool, crew::kCrewSize, [&](std::size_t i) {
+    auto& p = persons_[i];
+    PersonColumns& pc = cols_[i];
+    sort_columns(pc);
+    p.track = classifier.classify(pc.obs_t.data(), pc.obs_beacon.data(), pc.obs_rssi.data(),
+                                  pc.obs_t.size());
+    p.speech = speech.analyze(pc.audio_t.data(), pc.audio_level_db.data(),
+                              pc.audio_voiced.data(), pc.audio_f0.data(), pc.audio_t.size(),
+                              0.0);
+  });
   trace_stage(crew::kCrewSize);
   if (stays_hist || speech_hist) {
     for (const auto& p : persons_) {
@@ -700,10 +688,7 @@ AnalysisPipeline::Artifacts AnalysisPipeline::artifacts() const {
   shards.emplace_back([&] { out.dwell = dwell_stats(); });
   shards.emplace_back([&] { out.pairs = pair_stats(); });
   shards.emplace_back([&] { out.survey = survey_validation(); });
-  {
-    obs::ProfileScope prof(options_.tracer, "pipeline.artifacts");
-    util::parallel_for(pool_.get(), shards.size(), [&](std::size_t i) { shards[i](); });
-  }
+  util::parallel_for(pool_.get(), shards.size(), [&](std::size_t i) { shards[i](); });
   // Stage 4 of the assembly trace (emitted serially after the barrier,
   // like the assemble() stages). Repeated artifacts() calls append
   // further stage-4 spans to the same run trace.

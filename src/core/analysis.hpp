@@ -65,9 +65,7 @@ struct PipelineOptions {
   /// assembly, a stage span per barrier, a shard span per work item);
   /// null disables. Same rule as metrics: spans are emitted only from
   /// the serial code between the sharded stages, never inside a shard,
-  /// so the dump is byte-identical for every thread count. With
-  /// HS_OBS_PROFILE set, stages additionally record wall-clock profile
-  /// scopes (kept out of the deterministic dump).
+  /// so the dump is byte-identical for every thread count.
   obs::Tracer* tracer = nullptr;
 };
 

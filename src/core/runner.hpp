@@ -62,7 +62,7 @@ struct MissionReport {
   std::string metrics_csv;
   std::string flight_log_csv;
   /// Causal trace dump (obs::Tracer::to_csv). Same determinism contract
-  /// as metrics_csv; empty under HS_OBS_ENABLED=OFF.
+  /// as metrics_csv.
   std::string trace_csv;
 };
 

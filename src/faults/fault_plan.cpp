@@ -4,10 +4,19 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace hs::faults {
 namespace {
+
+using dsl::format_duration;
+using dsl::format_number;
+using dsl::format_time;
+using dsl::parse_duration;
+using dsl::parse_time;
 
 constexpr FaultKind kAllKinds[] = {
     FaultKind::kBatteryDeath,     FaultKind::kSdWriteFailure, FaultKind::kBinlogTruncation,
@@ -17,7 +26,22 @@ constexpr FaultKind kAllKinds[] = {
 static_assert(std::size(kAllKinds) == kFaultKindCount,
               "every FaultKind needs a DSL entry in kAllKinds");
 
-/// "3d07:30" — 1-based mission day plus habitat wall-clock time.
+/// "0,1,2|3,4" — the two node groups of a partition.
+std::string format_groups(const std::vector<int>& a, const std::vector<int>& b) {
+  return dsl::format_int_list(a) + '|' + dsl::format_int_list(b);
+}
+
+bool parse_groups(std::string_view text, std::vector<int>& a, std::vector<int>& b) {
+  const auto bar = text.find('|');
+  if (bar == std::string_view::npos) return false;
+  return dsl::parse_int_list(text.substr(0, bar), a) &&
+         dsl::parse_int_list(text.substr(bar + 1), b);
+}
+
+}  // namespace
+
+namespace dsl {
+
 std::string format_time(SimTime t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%dd%02d:%02d", mission_day(t), hour_of_day(t),
@@ -25,7 +49,6 @@ std::string format_time(SimTime t) {
   return buf;
 }
 
-/// Durations print with the largest exact unit (36h, 90m, 45s).
 std::string format_duration(SimDuration d) {
   const auto secs = d / kSecond;
   char buf[32];
@@ -45,61 +68,66 @@ std::string format_number(double v) {
   return buf;
 }
 
-/// "0,1,2|3,4" — the two node groups of a partition.
-std::string format_groups(const std::vector<int>& a, const std::vector<int>& b) {
+std::string format_int_list(const std::vector<int>& v) {
   std::string out;
-  const auto join = [&out](const std::vector<int>& group) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(group[i]);
-    }
-  };
-  join(a);
-  out += '|';
-  join(b);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(v[i]);
+  }
   return out;
 }
 
-bool parse_int_list(const std::string& text, std::vector<int>& out) {
-  out.clear();
-  std::istringstream ids(text);
-  std::string id;
-  while (std::getline(ids, id, ',')) {
-    if (id.empty() || id.find_first_not_of("0123456789") != std::string::npos) return false;
-    out.push_back(std::atoi(id.c_str()));
-  }
-  return !out.empty();
-}
-
-bool parse_groups(const std::string& text, std::vector<int>& a, std::vector<int>& b) {
-  const auto bar = text.find('|');
-  if (bar == std::string::npos) return false;
-  return parse_int_list(text.substr(0, bar), a) && parse_int_list(text.substr(bar + 1), b);
-}
-
-bool parse_time(const std::string& text, SimTime& out) {
+bool parse_time(std::string_view text, SimTime& out) {
+  // The last day whose 23:59 still fits in a SimTime.
+  constexpr std::int64_t kLastDay = std::numeric_limits<SimTime>::max() / kDay;
+  const auto d = text.find('d');
+  const auto colon = text.find(':');
+  if (d == std::string_view::npos || colon == std::string_view::npos || colon < d) return false;
   int day = 0;
   int hh = 0;
   int mm = 0;
-  if (std::sscanf(text.c_str(), "%dd%d:%d", &day, &hh, &mm) != 3) return false;
-  if (day < 1 || hh < 0 || hh > 23 || mm < 0 || mm > 59) return false;
+  if (!parse_number(text.substr(0, d), day) ||
+      !parse_number(text.substr(d + 1, colon - d - 1), hh) ||
+      !parse_number(text.substr(colon + 1), mm)) {
+    return false;
+  }
+  if (day < 1 || day > kLastDay || hh < 0 || hh > 23 || mm < 0 || mm > 59) return false;
   out = day_start(day) + hours(hh) + minutes(mm);
   return true;
 }
 
-bool parse_duration(const std::string& text, SimDuration& out) {
-  long long n = 0;
-  char unit = 0;
-  if (std::sscanf(text.c_str(), "%lld%c", &n, &unit) != 2 || n < 0) return false;
-  switch (unit) {
-    case 'h': out = hours(n); return true;
-    case 'm': out = minutes(n); return true;
-    case 's': out = seconds(n); return true;
+bool parse_duration(std::string_view text, SimDuration& out) {
+  if (text.empty()) return false;
+  SimDuration unit = 0;
+  switch (text.back()) {
+    case 'h': unit = kHour; break;
+    case 'm': unit = kMinute; break;
+    case 's': unit = kSecond; break;
     default: return false;
+  }
+  std::int64_t n = 0;
+  if (!parse_number(text.substr(0, text.size() - 1), n) || n < 0 ||
+      n > std::numeric_limits<SimDuration>::max() / unit) {
+    return false;
+  }
+  out = n * unit;
+  return true;
+}
+
+bool parse_int_list(std::string_view text, std::vector<int>& out) {
+  out.clear();
+  std::size_t from = 0;
+  while (true) {
+    const auto comma = text.find(',', from);
+    int v = 0;
+    if (!parse_number(text.substr(from, comma - from), v) || v < 0) return false;
+    out.push_back(v);
+    if (comma == std::string_view::npos) return true;
+    from = comma + 1;
   }
 }
 
-}  // namespace
+}  // namespace dsl
 
 const char* kind_name(FaultKind kind) {
   switch (kind) {
@@ -210,16 +238,17 @@ Expected<FaultPlan> FaultPlan::parse(const std::string& text) {
       if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
       const std::string key = kv.substr(0, eq);
       const std::string value = kv.substr(eq + 1);
+      const auto bad_number = [&] { return fail("bad " + key + " '" + value + "'"); };
       if (key == "badge") {
-        spec.badge = std::atoi(value.c_str());
+        if (!parse_number(value, spec.badge)) return bad_number();
       } else if (key == "beacon") {
-        spec.beacon = std::atoi(value.c_str());
+        if (!parse_number(value, spec.beacon)) return bad_number();
       } else if (key == "at") {
         if (!parse_time(value, spec.start)) return fail("bad time '" + value + "'");
       } else if (key == "for") {
         if (!parse_duration(value, spec.duration)) return fail("bad duration '" + value + "'");
       } else if (key == "db" || key == "ms" || key == "frac") {
-        spec.magnitude = std::atof(value.c_str());
+        if (!parse_number(value, spec.magnitude)) return bad_number();
       } else if (key == "band") {
         if (value == "ble") {
           spec.band = io::Band::kBle24;
@@ -233,11 +262,11 @@ Expected<FaultPlan> FaultPlan::parse(const std::string& text) {
           return fail("bad groups '" + value + "'");
         }
       } else if (key == "day") {
-        spec.day = std::atoi(value.c_str());
-      } else if (key == "a") {
-        spec.astronaut_a = static_cast<std::size_t>(std::atoi(value.c_str()));
-      } else if (key == "b") {
-        spec.astronaut_b = static_cast<std::size_t>(std::atoi(value.c_str()));
+        if (!parse_number(value, spec.day)) return bad_number();
+      } else if (key == "a" || key == "b") {
+        std::uint64_t astronaut = 0;
+        if (!parse_number(value, astronaut)) return bad_number();
+        (key == "a" ? spec.astronaut_a : spec.astronaut_b) = astronaut;
       } else {
         return fail("unknown key '" + key + "'");
       }

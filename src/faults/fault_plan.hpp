@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crew/script.hpp"
@@ -123,5 +124,29 @@ class FaultPlan {
   std::string name_;
   std::vector<FaultSpec> faults_;
 };
+
+/// The DSL's value syntax, shared with the scenario and campaign DSLs so
+/// they all read and print times, durations, numbers and id lists the
+/// same way. Parses are strict: the whole token must match, and a value
+/// out of range is rejected, never wrapped.
+namespace dsl {
+
+/// "3d07:30" — 1-based mission day plus habitat wall-clock time.
+std::string format_time(SimTime t);
+/// Durations print with the largest exact unit (36h, 90m, 45s).
+std::string format_duration(SimDuration d);
+/// `%g`: six significant digits, which seeded magnitudes quantize to.
+std::string format_number(double v);
+/// "0,1,2".
+std::string format_int_list(const std::vector<int>& v);
+
+/// `<day>d<hh>:<mm>` with day >= 1, inside SimTime's range.
+bool parse_time(std::string_view text, SimTime& out);
+/// `<n><h|m|s>` with n >= 0 and n units inside SimDuration's range.
+bool parse_duration(std::string_view text, SimDuration& out);
+/// A non-empty comma list of non-negative ints.
+bool parse_int_list(std::string_view text, std::vector<int>& out);
+
+}  // namespace dsl
 
 }  // namespace hs::faults

@@ -1,13 +1,16 @@
 #include "fleet/campaign.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 
 #include "scenario/scenario.hpp"
+#include "util/strings.hpp"
 
 namespace hs::fleet {
 namespace {
+
+using faults::dsl::format_int_list;
+using faults::dsl::parse_int_list;
 
 /// Known fault-preset names, in the order to_string() documents them.
 constexpr const char* kPresetNames[] = {
@@ -38,22 +41,6 @@ Error parse_error(std::size_t line, const std::string& what) {
   return Error{"campaign line " + std::to_string(line) + ": " + what};
 }
 
-bool parse_int(const std::string& s, int& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) return false;
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end == s.c_str() + s.size();
-}
-
 std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
   std::size_t from = 0;
@@ -65,34 +52,6 @@ std::vector<std::string> split_list(const std::string& s) {
     }
     out.push_back(s.substr(from, at - from));
     from = at + 1;
-  }
-  return out;
-}
-
-bool parse_int_list(const std::string& s, std::vector<int>& out) {
-  out.clear();
-  for (const auto& item : split_list(s)) {
-    int v = 0;
-    if (!parse_int(item, v)) return false;
-    out.push_back(v);
-  }
-  return !out.empty();
-}
-
-std::string join_ints(const std::vector<int>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(v[i]);
-  }
-  return out;
-}
-
-std::string join_strings(const std::vector<std::string>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += v[i];
   }
   return out;
 }
@@ -160,12 +119,12 @@ std::string CampaignSpec::to_string() const {
   out += "campaign " + name + "\n";
   out += "habitats " + std::to_string(habitats) + "\n";
   out += "seed " + std::to_string(base_seed) + "\n";
-  out += "days " + join_ints(days) + "\n";
-  out += "crew " + join_ints(crew) + "\n";
-  out += "beacons " + join_ints(beacons) + "\n";
-  out += "faults " + join_strings(faults) + "\n";
-  out += "cascade " + join_strings(cascade) + "\n";
-  out += "trace_sample " + join_ints(trace_sample) + "\n";
+  out += "days " + format_int_list(days) + "\n";
+  out += "crew " + format_int_list(crew) + "\n";
+  out += "beacons " + format_int_list(beacons) + "\n";
+  out += "faults " + join(faults, ",") + "\n";
+  out += "cascade " + join(cascade, ",") + "\n";
+  out += "trace_sample " + format_int_list(trace_sample) + "\n";
   out += std::string("mesh ") + (mesh ? "on" : "off") + "\n";
   out += "replication " + std::to_string(replication) + "\n";
   return out;
@@ -193,9 +152,13 @@ Expected<CampaignSpec> CampaignSpec::parse(const std::string& text) {
       spec.name = value;
       named = true;
     } else if (key == "habitats") {
-      if (!parse_int(value, spec.habitats)) return parse_error(lineno, "bad count '" + value + "'");
+      if (!parse_number(value, spec.habitats)) {
+        return parse_error(lineno, "bad count '" + value + "'");
+      }
     } else if (key == "seed") {
-      if (!parse_u64(value, spec.base_seed)) return parse_error(lineno, "bad seed '" + value + "'");
+      if (!parse_number(value, spec.base_seed)) {
+        return parse_error(lineno, "bad seed '" + value + "'");
+      }
     } else if (key == "days") {
       if (!parse_int_list(value, spec.days)) return parse_error(lineno, "bad list '" + value + "'");
     } else if (key == "crew") {
@@ -221,7 +184,7 @@ Expected<CampaignSpec> CampaignSpec::parse(const std::string& text) {
         return parse_error(lineno, "mesh wants on|off, got '" + value + "'");
       }
     } else if (key == "replication") {
-      if (!parse_int(value, spec.replication)) {
+      if (!parse_number(value, spec.replication)) {
         return parse_error(lineno, "bad count '" + value + "'");
       }
     } else {

@@ -1,11 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+
+#include "util/strings.hpp"
 
 namespace hs::obs {
 namespace {
@@ -46,7 +47,6 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
 }
 
 void Histogram::observe(double v) {
-#if HS_OBS_ENABLED
   // upper_bound gives the first bound > v, which is exactly the [lo, hi)
   // convention: v below every bound indexes 0 (underflow), v == a bound
   // lands in the bucket above it, v past the last bound indexes size()
@@ -55,23 +55,13 @@ void Histogram::observe(double v) {
   buckets_[static_cast<std::size_t>(it - bounds_.begin())] += 1;
   count_ += 1;
   sum_ += v;
-#else
-  (void)v;
-#endif
 }
 
 namespace {
 
-/// Strict numeric parses: the whole field must be consumed, so "notanint"
-/// or "12x" fail instead of silently becoming 0 or 12.
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return errno == 0 && end == s.c_str() + s.size();
-}
-
+/// The whole field must be consumed, so "12x" fails instead of becoming
+/// 12. Unlike hs::parse_number this takes "nan" and "inf", which
+/// format_double prints for non-finite gauges and sums.
 bool parse_f64(const std::string& s, double& out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -159,7 +149,7 @@ Expected<MetricsSnapshot> MetricsSnapshot::from_csv(const std::string& text) {
     e.kind = cols[0][0];
     e.name = cols[1];
     if (e.name.empty()) return parse_error(lineno, "empty metric name");
-    if (!parse_u64(cols[2], e.count)) return parse_error(lineno, "bad count '" + cols[2] + "'");
+    if (!parse_number(cols[2], e.count)) return parse_error(lineno, "bad count '" + cols[2] + "'");
     if (!parse_f64(cols[3], e.value)) return parse_error(lineno, "bad value '" + cols[3] + "'");
     if (!cols[4].empty()) {
       for (const auto& b : split(cols[4], ';')) {
@@ -171,7 +161,7 @@ Expected<MetricsSnapshot> MetricsSnapshot::from_csv(const std::string& text) {
     if (!cols[5].empty()) {
       for (const auto& b : split(cols[5], ';')) {
         std::uint64_t bucket = 0;
-        if (!parse_u64(b, bucket)) return parse_error(lineno, "bad bucket '" + b + "'");
+        if (!parse_number(b, bucket)) return parse_error(lineno, "bad bucket '" + b + "'");
         e.buckets.push_back(bucket);
       }
     }

@@ -14,9 +14,6 @@
 //    serial index-order folds after a parallel_for barrier (the same
 //    merge rules as docs/CONCURRENCY.md), so the exported dump is
 //    byte-identical run to run and thread count to thread count.
-//  * `HS_OBS_ENABLED=OFF` (CMake option) compiles the hot-path bodies
-//    out entirely: call sites stay unconditional, the instrument types
-//    still exist, and every update is a no-op the optimizer deletes.
 //
 // docs/OBSERVABILITY.md holds the metric catalog and the naming scheme
 // (`<subsystem>.<what>`, lower_snake, counted nouns in the plural).
@@ -30,23 +27,13 @@
 
 #include "util/expected.hpp"
 
-#ifndef HS_OBS_ENABLED
-#define HS_OBS_ENABLED 1
-#endif
-
 namespace hs::obs {
 
 /// Monotonically increasing event count. u64 increments commute, but the
 /// determinism story does not rely on that: all writers are serial.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-#if HS_OBS_ENABLED
-    value_ += n;
-#else
-    (void)n;
-#endif
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
 
  private:
@@ -56,13 +43,7 @@ class Counter {
 /// Last-write-wins instantaneous value (queue depths, live node counts).
 class Gauge {
  public:
-  void set(double v) {
-#if HS_OBS_ENABLED
-    value_ = v;
-#else
-    (void)v;
-#endif
-  }
+  void set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
 
  private:

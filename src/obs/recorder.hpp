@@ -20,10 +20,6 @@
 #include "obs/metrics.hpp"
 #include "util/units.hpp"
 
-#ifndef HS_OBS_ENABLED
-#define HS_OBS_ENABLED 1
-#endif
-
 namespace hs::obs {
 
 /// Which layer emitted an event.
@@ -69,13 +65,9 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   void record(SimTime t, Subsys subsys, EventCode code, std::int64_t a = 0, std::int64_t b = 0) {
-#if HS_OBS_ENABLED
     if (total_ >= ring_.size() && dropped_counter_ != nullptr) dropped_counter_->inc();
     ring_[static_cast<std::size_t>(total_ % ring_.size())] = FlightEvent{t, subsys, code, a, b};
     ++total_;
-#else
-    (void)t, (void)subsys, (void)code, (void)a, (void)b;
-#endif
   }
 
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }

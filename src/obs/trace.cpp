@@ -1,11 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string_view>
+
+#include "util/strings.hpp"
 
 namespace hs::obs {
 namespace {
@@ -91,23 +90,15 @@ std::optional<std::uint64_t> parse_hex_id(std::string_view field) {
   return v;
 }
 
-std::optional<std::int64_t> parse_int(std::string_view field) {
-  if (field.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string tmp(field);
-  const long long v = std::strtoll(tmp.c_str(), &end, 10);
-  if (end != tmp.c_str() + tmp.size()) return std::nullopt;
-  return static_cast<std::int64_t>(v);
+template <typename T>
+std::optional<T> parse_field(std::string_view field) {
+  T v = 0;
+  if (!parse_number(field, v)) return std::nullopt;
+  return v;
 }
 
 Error parse_error(std::size_t line, const char* what) {
   return Error{"trace csv line " + std::to_string(line) + ": " + what};
-}
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
 }
 
 }  // namespace
@@ -121,8 +112,6 @@ const char* span_kind_name(SpanKind k) {
 
 Tracer::Tracer(std::uint64_t seed, std::size_t max_spans)
     : seed_(seed), span_salt_(mix64(seed ^ kSpanSalt)), max_spans_(max_spans) {
-  const char* env = std::getenv("HS_OBS_PROFILE");
-  profiling_ = env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
   for (std::size_t k = 0; k < kKindCount; ++k) {
     kind_budget_[k] = default_kind_budget(static_cast<SpanKind>(k + 1), max_spans);
   }
@@ -219,8 +208,8 @@ SpanId Tracer::next_span_id() {
   return id == 0 ? 1 : id;
 }
 
-SpanId Tracer::emit_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SimTime end,
-                         SpanId parent, std::int64_t a, std::int64_t b, std::int64_t c) {
+SpanId Tracer::emit(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SimTime end,
+                    SpanId parent, std::int64_t a, std::int64_t b, std::int64_t c) {
   const SpanId id = next_span_id();
   const SpanId ctx = context();
   const SpanId link = (ctx != 0 && ctx != parent) ? ctx : 0;
@@ -233,8 +222,8 @@ SpanId Tracer::emit_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime st
   return id;
 }
 
-SpanId Tracer::begin_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime start,
-                          SpanId parent, std::int64_t a, std::int64_t b, std::int64_t c) {
+SpanId Tracer::begin(TraceId trace, SpanKind kind, Subsys subsys, SimTime start,
+                     SpanId parent, std::int64_t a, std::int64_t b, std::int64_t c) {
   const SpanId id = next_span_id();
   const SpanId ctx = context();
   const SpanId link = (ctx != 0 && ctx != parent) ? ctx : 0;
@@ -248,7 +237,7 @@ SpanId Tracer::begin_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime s
   return id;
 }
 
-void Tracer::close_impl(SpanId id, SimTime end) {
+void Tracer::close(SpanId id, SimTime end) {
   const auto it = open_.find(id);
   if (it == open_.end()) return;  // unknown, already closed, or dropped
   spans_[it->second].end = end;
@@ -297,15 +286,6 @@ std::string Tracer::to_csv() const {
 
 namespace {
 
-std::optional<std::uint64_t> parse_u64(std::string_view field) {
-  if (field.empty() || field[0] == '-' || field[0] == '+') return std::nullopt;
-  char* end = nullptr;
-  const std::string tmp(field);
-  const unsigned long long v = std::strtoull(tmp.c_str(), &end, 10);
-  if (end != tmp.c_str() + tmp.size()) return std::nullopt;
-  return static_cast<std::uint64_t>(v);
-}
-
 /// Split one CSV line into at most `max` comma-separated fields; returns
 /// the field count or `max + 1` on overflow.
 std::size_t split_fields(std::string_view line, std::string_view* fields, std::size_t max) {
@@ -350,8 +330,8 @@ Expected<TraceDump> Tracer::parse_dump(const std::string& text) {
       if (meta_fields[0] == "#tracer") {
         if (seen_tracer_line) return parse_error(line_no, "duplicate #tracer line");
         if (n != 3) return parse_error(line_no, "#tracer wants seed,max_spans");
-        const auto seed = parse_u64(meta_fields[1]);
-        const auto cap = parse_u64(meta_fields[2]);
+        const auto seed = parse_field<std::uint64_t>(meta_fields[1]);
+        const auto cap = parse_field<std::uint64_t>(meta_fields[2]);
         if (!seed || !cap) return parse_error(line_no, "bad #tracer field");
         dump.meta.seed = *seed;
         dump.meta.max_spans = *cap;
@@ -359,9 +339,9 @@ Expected<TraceDump> Tracer::parse_dump(const std::string& text) {
       } else if (meta_fields[0] == "#sampling") {
         if (seen_sampling_line) return parse_error(line_no, "duplicate #sampling line");
         if (n != 4) return parse_error(line_no, "#sampling wants keep,emitted,dropped");
-        const auto keep = parse_u64(meta_fields[1]);
-        const auto emitted = parse_u64(meta_fields[2]);
-        const auto dropped = parse_u64(meta_fields[3]);
+        const auto keep = parse_field<std::uint64_t>(meta_fields[1]);
+        const auto emitted = parse_field<std::uint64_t>(meta_fields[2]);
+        const auto dropped = parse_field<std::uint64_t>(meta_fields[3]);
         if (!keep || *keep > kSampleScale || !emitted || !dropped) {
           return parse_error(line_no, "bad #sampling field");
         }
@@ -376,9 +356,9 @@ Expected<TraceDump> Tracer::parse_dump(const std::string& text) {
         for (const TraceKindStats& k : dump.meta.kinds) {
           if (k.kind == *kind) return parse_error(line_no, "duplicate #kind line");
         }
-        const auto budget = parse_u64(meta_fields[2]);
-        const auto kept = parse_u64(meta_fields[3]);
-        const auto dropped = parse_u64(meta_fields[4]);
+        const auto budget = parse_field<std::uint64_t>(meta_fields[2]);
+        const auto kept = parse_field<std::uint64_t>(meta_fields[3]);
+        const auto dropped = parse_field<std::uint64_t>(meta_fields[4]);
         if (!budget || !kept || !dropped) return parse_error(line_no, "bad #kind field");
         dump.meta.kinds.push_back(TraceKindStats{*kind, *budget, *kept, *dropped});
       } else {
@@ -403,11 +383,11 @@ Expected<TraceDump> Tracer::parse_dump(const std::string& text) {
     if (!kind) return parse_error(line_no, "unknown span kind");
     const auto subsys = parse_subsys(fields[5]);
     if (!subsys) return parse_error(line_no, "unknown subsystem");
-    const auto t0 = parse_int(fields[6]);
-    const auto t1 = parse_int(fields[7]);
-    const auto a = parse_int(fields[8]);
-    const auto b = parse_int(fields[9]);
-    const auto c = parse_int(fields[10]);
+    const auto t0 = parse_field<std::int64_t>(fields[6]);
+    const auto t1 = parse_field<std::int64_t>(fields[7]);
+    const auto a = parse_field<std::int64_t>(fields[8]);
+    const auto b = parse_field<std::int64_t>(fields[9]);
+    const auto c = parse_field<std::int64_t>(fields[10]);
     if (!t0 || !t1 || !a || !b || !c) return parse_error(line_no, "bad integer field");
     s.trace = *trace;
     s.id = *id;
@@ -481,29 +461,5 @@ std::string spans_to_chrome_json(const std::vector<TraceSpan>& spans) {
 }
 
 std::string Tracer::to_chrome_json() const { return spans_to_chrome_json(spans_); }
-
-void Tracer::note_profile(const char* name, std::uint64_t wall_ns) {
-  profile_.push_back(ProfileEntry{name, wall_ns});
-}
-
-std::string Tracer::profile_csv() const {
-  std::string out = "name,wall_ns\n";
-  for (const ProfileEntry& e : profile_) {
-    out += e.name;
-    out += ',';
-    out += std::to_string(e.wall_ns);
-    out += '\n';
-  }
-  return out;
-}
-
-ProfileScope::ProfileScope(Tracer* tracer, const char* name)
-    : tracer_(tracer != nullptr && tracer->profiling_enabled() ? tracer : nullptr), name_(name) {
-  if (tracer_) t0_ns_ = steady_ns();
-}
-
-ProfileScope::~ProfileScope() {
-  if (tracer_) tracer_->note_profile(name_, steady_ns() - t0_ns_);
-}
 
 }  // namespace hs::obs

@@ -15,14 +15,9 @@
 //  * Spans are only emitted from the single-threaded mission loop or from
 //    serial index-ordered folds after a parallel_for barrier — the same
 //    rule docs/CONCURRENCY.md imposes on metric updates.
-//  * `HS_OBS_ENABLED=OFF` compiles the hot-path bodies out: call sites
-//    stay unconditional, emit() collapses to `return 0`.
 //
 // Two exports: canonical CSV (strict round-trip, like MetricsSnapshot)
 // and Chrome trace-event JSON that loads in Perfetto / chrome://tracing.
-// Sim-time spans carry mission causality; wall-clock profiling scopes
-// (opt-in via the HS_OBS_PROFILE environment variable) are kept in a
-// separate buffer so they can never leak nondeterminism into the dumps.
 // docs/TRACING.md has the span model and the how-to.
 #pragma once
 
@@ -35,10 +30,6 @@
 #include "obs/recorder.hpp"
 #include "util/expected.hpp"
 #include "util/units.hpp"
-
-#ifndef HS_OBS_ENABLED
-#define HS_OBS_ENABLED 1
-#endif
 
 namespace hs::obs {
 
@@ -102,14 +93,6 @@ enum class TraceOrigin : std::uint8_t {
   kProposal,
   kFault,
   kPipeline,
-};
-
-/// One wall-clock profiling measurement (HS_OBS_PROFILE only). Kept out
-/// of the deterministic spans on purpose: wall time is not a function of
-/// (seed, plan).
-struct ProfileEntry {
-  std::string name;
-  std::uint64_t wall_ns = 0;
 };
 
 /// Per-kind accounting row, as written into the dump's `#kind` metadata
@@ -200,63 +183,27 @@ class Tracer {
   /// assembly takes one, so repeated analyses stay distinguishable).
   [[nodiscard]] std::uint64_t next_pipeline_run() { return pipeline_runs_++; }
 
-  // --- emission (hot path; compiled out under HS_OBS_ENABLED=OFF) ---------
+  // --- emission (hot path) --------------------------------------------------
   /// Record a closed span. Returns its id (assigned even when the span is
   /// dropped over the cap, so id assignment never depends on the cap).
   /// When a context is pushed and `parent` is 0 or from another trace,
   /// the context becomes the span's `link` (cross-trace causality).
   SpanId emit(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SimTime end,
-              SpanId parent = 0, std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0) {
-#if HS_OBS_ENABLED
-    return emit_impl(trace, kind, subsys, start, end, parent, a, b, c);
-#else
-    (void)trace, (void)kind, (void)subsys, (void)start, (void)end, (void)parent;
-    (void)a, (void)b, (void)c;
-    return 0;
-#endif
-  }
+              SpanId parent = 0, std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0);
 
   /// Open a span (kFaultActive-style: the end instant is not known yet).
   SpanId begin(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SpanId parent = 0,
-               std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0) {
-#if HS_OBS_ENABLED
-    return begin_impl(trace, kind, subsys, start, parent, a, b, c);
-#else
-    (void)trace, (void)kind, (void)subsys, (void)start, (void)parent;
-    (void)a, (void)b, (void)c;
-    return 0;
-#endif
-  }
+               std::int64_t a = 0, std::int64_t b = 0, std::int64_t c = 0);
 
   /// Close a span opened with begin(). Unknown/dropped ids are a no-op.
-  void close(SpanId id, SimTime end) {
-#if HS_OBS_ENABLED
-    close_impl(id, end);
-#else
-    (void)id, (void)end;
-#endif
-  }
+  void close(SpanId id, SimTime end);
 
   // --- causal context (a stack; the kernel pushes around each callback) ----
-  void push_context(SpanId id) {
-#if HS_OBS_ENABLED
-    context_.push_back(id);
-#else
-    (void)id;
-#endif
-  }
+  void push_context(SpanId id) { context_.push_back(id); }
   void pop_context() {
-#if HS_OBS_ENABLED
     if (!context_.empty()) context_.pop_back();
-#endif
   }
-  [[nodiscard]] SpanId context() const {
-#if HS_OBS_ENABLED
-    return context_.empty() ? 0 : context_.back();
-#else
-    return 0;
-#endif
-  }
+  [[nodiscard]] SpanId context() const { return context_.empty() ? 0 : context_.back(); }
 
   // --- sampling and per-kind budgets ---------------------------------------
   /// Set the head-based keep threshold (in millionths; >= kSampleScale
@@ -331,21 +278,9 @@ class Tracer {
   /// function below.
   [[nodiscard]] std::string to_chrome_json() const;
 
-  // --- wall-clock profiling (HS_OBS_PROFILE=1; never in the dumps) --------
-  [[nodiscard]] bool profiling_enabled() const { return profiling_; }
-  void note_profile(const char* name, std::uint64_t wall_ns);
-  [[nodiscard]] const std::vector<ProfileEntry>& profile_entries() const { return profile_; }
-  /// `name,wall_ns` per scope, emission order. Wall clock: NOT byte-stable.
-  [[nodiscard]] std::string profile_csv() const;
-
  private:
   static std::size_t kind_index(SpanKind kind) { return static_cast<std::size_t>(kind) - 1; }
 
-  SpanId emit_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SimTime end,
-                   SpanId parent, std::int64_t a, std::int64_t b, std::int64_t c);
-  SpanId begin_impl(TraceId trace, SpanKind kind, Subsys subsys, SimTime start, SpanId parent,
-                    std::int64_t a, std::int64_t b, std::int64_t c);
-  void close_impl(SpanId id, SimTime end);
   [[nodiscard]] SpanId next_span_id();
   /// Would a span of `kind` in `trace` be stored right now?
   [[nodiscard]] bool admits(TraceId trace, SpanKind kind) const;
@@ -358,7 +293,6 @@ class Tracer {
   std::uint32_t keep_millionths_ = kSampleScale;
   std::uint64_t emitted_ = 0;
   std::uint64_t pipeline_runs_ = 0;
-  bool profiling_ = false;
   std::vector<TraceSpan> spans_;
   std::vector<SpanId> context_;
   std::unordered_map<SpanId, std::size_t> open_;  ///< begin()-ed, not yet closed
@@ -368,28 +302,10 @@ class Tracer {
   Counter* dropped_counter_ = nullptr;
   Registry* drop_registry_ = nullptr;
   std::array<Counter*, kKindCount> kind_counters_{};  ///< lazy per-kind drop counters
-  std::vector<ProfileEntry> profile_;
 };
 
 /// Chrome trace-event JSON for an already-parsed dump (what hs_trace's
 /// --export-perfetto uses on a CSV input).
 [[nodiscard]] std::string spans_to_chrome_json(const std::vector<TraceSpan>& spans);
-
-/// RAII wall-clock scope: measures steady-clock nanoseconds and records
-/// them via note_profile() on destruction. No-op unless the tracer is
-/// non-null and was constructed with HS_OBS_PROFILE set — so scopes can
-/// wrap pipeline stages unconditionally.
-class ProfileScope {
- public:
-  ProfileScope(Tracer* tracer, const char* name);
-  ~ProfileScope();
-  ProfileScope(const ProfileScope&) = delete;
-  ProfileScope& operator=(const ProfileScope&) = delete;
-
- private:
-  Tracer* tracer_;
-  const char* name_;
-  std::uint64_t t0_ns_ = 0;
-};
 
 }  // namespace hs::obs

@@ -7,9 +7,7 @@
 // the critical path of one alert (sensor record -> evidence -> raise ->
 // deliveries -> mesh publish), and summarize span counts/depths per
 // layer. Everything here works on plain data — no seed, no live mission —
-// so it runs identically on a dump written days earlier, and it stays
-// fully functional in HS_OBS_ENABLED=OFF builds (where live tracers are
-// simply empty).
+// so it runs identically on a dump written days earlier.
 #pragma once
 
 #include <array>

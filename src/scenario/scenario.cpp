@@ -1,96 +1,29 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "faults/fault_plan.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace hs::scenario {
 namespace {
+
+// Times, durations, numbers and id lists use the fault DSL's syntax.
+using faults::dsl::format_duration;
+using faults::dsl::format_int_list;
+using faults::dsl::format_number;
+using faults::dsl::format_time;
+using faults::dsl::parse_duration;
+using faults::dsl::parse_int_list;
+using faults::dsl::parse_time;
 
 constexpr ComponentKind kAllComponentKinds[] = {
     ComponentKind::kPowerBus,     ComponentKind::kBeaconCluster, ComponentKind::kMeshNode,
     ComponentKind::kBadgeCharger, ComponentKind::kLocalization,
 };
 static_assert(std::size(kAllComponentKinds) == kComponentKindCount);
-
-/// "3d07:30" — 1-based mission day plus habitat wall-clock time (the
-/// faults DSL's time format).
-std::string format_time(SimTime t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%dd%02d:%02d", mission_day(t), hour_of_day(t),
-                minute_of_hour(t));
-  return buf;
-}
-
-std::string format_duration(SimDuration d) {
-  const auto secs = d / kSecond;
-  char buf[32];
-  if (secs % 3600 == 0) {
-    std::snprintf(buf, sizeof(buf), "%lldh", static_cast<long long>(secs / 3600));
-  } else if (secs % 60 == 0) {
-    std::snprintf(buf, sizeof(buf), "%lldm", static_cast<long long>(secs / 60));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%llds", static_cast<long long>(secs));
-  }
-  return buf;
-}
-
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-std::string join_ints(const std::vector<int>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(v[i]);
-  }
-  return out;
-}
-
-bool parse_int_list(const std::string& text, std::vector<int>& out) {
-  out.clear();
-  std::istringstream ids(text);
-  std::string id;
-  while (std::getline(ids, id, ',')) {
-    if (id.empty() || id.find_first_not_of("0123456789") != std::string::npos) return false;
-    out.push_back(std::atoi(id.c_str()));
-  }
-  return !out.empty();
-}
-
-bool parse_time(const std::string& text, SimTime& out) {
-  int day = 0;
-  int hh = 0;
-  int mm = 0;
-  if (std::sscanf(text.c_str(), "%dd%d:%d", &day, &hh, &mm) != 3) return false;
-  if (day < 1 || hh < 0 || hh > 23 || mm < 0 || mm > 59) return false;
-  out = day_start(day) + hours(hh) + minutes(mm);
-  return true;
-}
-
-bool parse_duration(const std::string& text, SimDuration& out) {
-  long long n = 0;
-  char unit = 0;
-  if (std::sscanf(text.c_str(), "%lld%c", &n, &unit) != 2 || n < 0) return false;
-  switch (unit) {
-    case 'h':
-      out = hours(n);
-      return true;
-    case 'm':
-      out = minutes(n);
-      return true;
-    case 's':
-      out = seconds(n);
-      return true;
-    default:
-      return false;
-  }
-}
 
 }  // namespace
 
@@ -119,7 +52,7 @@ std::string ScenarioSpec::to_string() const {
   if (!name.empty()) out << "scenario " << name << "\n";
   for (const auto& c : graph.components()) {
     out << "component " << c.name << " kind=" << component_kind_name(c.kind);
-    if (!c.beacons.empty()) out << " beacons=" << join_ints(c.beacons);
+    if (!c.beacons.empty()) out << " beacons=" << format_int_list(c.beacons);
     if (c.badge >= 0) out << " badge=" << c.badge;
     if (c.kind == ComponentKind::kLocalization) {
       out << " band=" << (c.band == io::Band::kBle24 ? "ble" : "subghz")
@@ -142,8 +75,8 @@ std::string ScenarioSpec::to_string() const {
     std::vector<int> crew;
     crew.reserve(repair.crew.size());
     for (const std::size_t a : repair.crew) crew.push_back(static_cast<int>(a));
-    out << "repair crew=" << join_ints(crew) << " react=" << format_duration(repair.reaction)
-        << "\n";
+    out << "repair crew=" << format_int_list(crew)
+        << " react=" << format_duration(repair.reaction) << "\n";
   }
   return out.str();
 }
@@ -175,6 +108,7 @@ Expected<ScenarioSpec> ScenarioSpec::parse(const std::string& text) {
         if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
         const std::string key = kv.substr(0, eq);
         const std::string value = kv.substr(eq + 1);
+        const auto bad_number = [&] { return fail("bad " + key + " '" + value + "'"); };
         if (key == "kind") {
           for (const ComponentKind k : kAllComponentKinds) {
             if (value == component_kind_name(k)) {
@@ -187,7 +121,7 @@ Expected<ScenarioSpec> ScenarioSpec::parse(const std::string& text) {
         } else if (key == "beacons") {
           if (!parse_int_list(value, c.beacons)) return fail("bad beacon list '" + value + "'");
         } else if (key == "badge") {
-          c.badge = std::atoi(value.c_str());
+          if (!parse_number(value, c.badge)) return bad_number();
         } else if (key == "band") {
           if (value == "ble") {
             c.band = io::Band::kBle24;
@@ -197,11 +131,11 @@ Expected<ScenarioSpec> ScenarioSpec::parse(const std::string& text) {
             return fail("bad band '" + value + "'");
           }
         } else if (key == "db") {
-          c.db = std::atof(value.c_str());
+          if (!parse_number(value, c.db)) return bad_number();
         } else if (key == "power") {
-          c.power_kwh_day = std::atof(value.c_str());
+          if (!parse_number(value, c.power_kwh_day)) return bad_number();
         } else if (key == "o2") {
-          c.o2_kg_day = std::atof(value.c_str());
+          if (!parse_number(value, c.o2_kg_day)) return bad_number();
         } else if (key == "repair") {
           if (!parse_duration(value, c.repair)) return fail("bad duration '" + value + "'");
         } else {
@@ -234,7 +168,7 @@ Expected<ScenarioSpec> ScenarioSpec::parse(const std::string& text) {
         if (key == "delay") {
           if (!parse_duration(value, delay)) return fail("bad duration '" + value + "'");
         } else if (key == "p") {
-          probability = std::atof(value.c_str());
+          if (!parse_number(value, probability)) return fail("bad p '" + value + "'");
         } else {
           return fail("unknown key '" + key + "'");
         }

@@ -1,8 +1,23 @@
 #include "util/strings.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace hs {
+namespace {
+
+template <typename T>
+bool parse_whole(std::string_view text, T& out) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
 
 std::string format_fixed(double value, int decimals) {
   char buf[64];
@@ -39,6 +54,17 @@ std::string pad_right(const std::string& s, std::size_t width) {
 std::string pad_left(const std::string& s, std::size_t width) {
   if (s.size() >= width) return s.substr(0, width);
   return std::string(width - s.size(), ' ') + s;
+}
+
+bool parse_number(std::string_view text, int& out) { return parse_whole(text, out); }
+bool parse_number(std::string_view text, std::int64_t& out) { return parse_whole(text, out); }
+bool parse_number(std::string_view text, std::uint64_t& out) { return parse_whole(text, out); }
+
+bool parse_number(std::string_view text, double& out) {
+  double v = 0.0;
+  if (!parse_whole(text, v) || !std::isfinite(v)) return false;
+  out = v;
+  return true;
 }
 
 }  // namespace hs

@@ -221,7 +221,6 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
   EXPECT_EQ(parallel.flight_log_csv, again.flight_log_csv);
   EXPECT_EQ(parallel.trace_csv, again.trace_csv);
 
-#if HS_OBS_ENABLED
   // The dump must be real data, not an agreement on emptiness. (The
   // kernel counters and alert counts are legitimately 0 on the happy
   // path — no faults and no mesh means nothing is ever enqueued — so
@@ -255,7 +254,6 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
   EXPECT_GT(count_of(obs::SpanKind::kPipelineRun), 0U);
   EXPECT_GT(count_of(obs::SpanKind::kPipelineStage), 0U);
   EXPECT_GT(count_of(obs::SpanKind::kPipelineShard), 0U);
-#endif
 }
 
 TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed7) {
@@ -277,7 +275,6 @@ TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
   EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
   EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
 
-#if HS_OBS_ENABLED
   // Under a real plan the event kernel is busy (activations, recoveries)
   // and the fault counters show the whole lifecycle.
   const auto snap = obs::MetricsSnapshot::from_csv(serial.metrics_csv);
@@ -286,7 +283,6 @@ TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
   EXPECT_GT(snap->find("sim.events_fired")->count, 0U);
   ASSERT_NE(snap->find("faults.armed"), nullptr);
   EXPECT_GT(snap->find("faults.armed")->count, 0U);
-#endif
 }
 
 TEST(DeterminismTest, CascadeMissionKeepsTheContractSeeds7And42) {
@@ -350,7 +346,6 @@ TEST(DeterminismTest, SampledTraceDumpByteIdenticalAcrossThreadsSeeds7And42) {
     EXPECT_EQ(serial.trace_csv, parallel.trace_csv) << "seed " << seed;
     EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv) << "seed " << seed;
     EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv) << "seed " << seed;
-#if HS_OBS_ENABLED
     // The dump declares its own threshold (hs_trace reads it back), and
     // sampling actually dropped something at this scenario size.
     EXPECT_NE(serial.trace_csv.find("\n#sampling,500000,"), std::string::npos) << "seed " << seed;
@@ -358,7 +353,6 @@ TEST(DeterminismTest, SampledTraceDumpByteIdenticalAcrossThreadsSeeds7And42) {
     ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
     EXPECT_GT(parsed->meta.dropped, 0U) << "seed " << seed;
     EXPECT_FALSE(parsed->spans.empty()) << "seed " << seed;
-#endif
   }
 }
 

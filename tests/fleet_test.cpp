@@ -68,6 +68,13 @@ TEST(CampaignDsl, RejectsMalformedSpecs) {
   EXPECT_FALSE(CampaignSpec::parse("campaign x\ntrace_sample 101\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\ntrace_sample -1\n").has_value());
   EXPECT_FALSE(CampaignSpec::parse("campaign x\ntrace_sample half\n").has_value());
+  // Counts and seeds are range-checked, never truncated or wrapped.
+  const auto habitats = CampaignSpec::parse("campaign x\nhabitats 4294967297\n");
+  ASSERT_FALSE(habitats.has_value()) << "habitats " << habitats->habitats;
+  EXPECT_NE(habitats.error().message.find("line 2: bad count"), std::string::npos);
+  const auto seed = CampaignSpec::parse("campaign x\nseed -1\n");
+  ASSERT_FALSE(seed.has_value()) << "seed " << seed->base_seed;
+  EXPECT_NE(seed.error().message.find("line 2: bad seed"), std::string::npos);
 }
 
 TEST(CampaignDsl, ExpandAssignsAxesRoundRobin) {
@@ -360,7 +367,21 @@ TEST(RunHabitat, ProducesAPopulatedSummary) {
   const HabitatSummary summary = run_habitat(spec);
   EXPECT_EQ(summary.index, 3u);
   EXPECT_EQ(summary.finished_at, kDay);
-  EXPECT_GT(summary.records_written, 0u);
+  // The report's record count comes from the badge.sd_records_written
+  // counter; pin it to the records a twin run's cards actually hold.
+  // Exactly one record predates the counter: add_reference_badge()
+  // undocks the reference badge, logging a WearEvent, before
+  // MissionRunner wires the cards to it. Counting that record would move
+  // the fleet report's bytes, so the offset is pinned here instead.
+  constexpr std::uint64_t kRecordsBeforeWiring = 1;
+  core::MissionRunner twin(make_mission_config(spec));
+  const core::Dataset data = twin.run_days(spec.days);
+  std::uint64_t on_cards = 0;
+  for (const core::BadgeLog& log : data.logs) {
+    on_cards += log.card.record_count() + log.card.truncated_records();
+  }
+  EXPECT_GT(on_cards, kRecordsBeforeWiring);
+  EXPECT_EQ(summary.records_written + kRecordsBeforeWiring, on_cards);
   EXPECT_GT(summary.chunks_offloaded, 0u);
   EXPECT_LE(summary.chunks_acked, summary.chunks_offloaded);
   EXPECT_EQ(summary.ack_latencies_s.size(), summary.chunks_acked);

@@ -110,7 +110,6 @@ TEST(MeshDeterminism, SameSeedAndPlanYieldByteIdenticalMeshes) {
   EXPECT_EQ(r1.flight_log_csv, r2.flight_log_csv);
   EXPECT_EQ(r1.trace_csv, r2.trace_csv);
 
-#if HS_OBS_ENABLED
   // The mirrored mesh.* counters must agree exactly with GossipStats —
   // same increment sites, so any split means a missed instrumentation.
   const obs::Registry& metrics = first->metrics();
@@ -129,7 +128,6 @@ TEST(MeshDeterminism, SameSeedAndPlanYieldByteIdenticalMeshes) {
             static_cast<std::uint64_t>(s1.offload_bytes));
   // Replication acks in the counter match the trace-level view.
   EXPECT_EQ(metrics.find_counter("mesh.replication_acks")->value(), m1->acked_keys().size());
-#endif
 }
 
 TEST(MeshDeterminism, MetricsDumpByteIdenticalUnderPartition) {

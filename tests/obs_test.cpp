@@ -208,6 +208,11 @@ TEST(SnapshotTest, FromCsvRejectsGarbage) {
   EXPECT_FALSE(
       MetricsSnapshot::from_csv("kind,name,count,value,bounds,buckets\nc,x,notanint,0,,\n")
           .has_value());
+  // Counts are whole unsigned tokens: "-1" is not 2^64 - 1, " 5" is not 5.
+  EXPECT_FALSE(
+      MetricsSnapshot::from_csv("kind,name,count,value,bounds,buckets\nc,x,-1,0,,\n").has_value());
+  EXPECT_FALSE(
+      MetricsSnapshot::from_csv("kind,name,count,value,bounds,buckets\nc,x, 5,0,,\n").has_value());
 }
 
 TEST(SnapshotTest, JsonExportNamesEveryMetric) {

@@ -149,6 +149,14 @@ TEST(ScenarioDslTest, RejectsMalformedInputWithLineNumbers) {
                "scenario");  // validate(): unknown root component
   expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nrepair crew=1,x react=10m\n",
                "bad crew list");
+  // Numbers parse strictly: "abc" is not probability 0.
+  expect_error(
+      "scenario x\ncomponent a kind=power-bus repair=30m\n"
+      "component b kind=mesh-node beacons=3 repair=30m\nedge a->b delay=5m p=abc\n",
+      "line 4: bad p 'abc'");
+  // Times use the fault DSL's strict parser.
+  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nfail a at=1d09:00x for=1h\n",
+               "line 3: bad time");
 }
 
 TEST(ScenarioPresetTest, ResolvesCampaignNames) {

@@ -9,7 +9,7 @@
 // in mesh.chunks_replicated but never spans. The test works on the parsed
 // CSV dump (not the live tracer) so it also pins the round-trip.
 //
-// Registered under the `obs` and `mesh` ctest labels, HS_OBS_ENABLED only.
+// Registered under the `obs` and `mesh` ctest labels.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -13,8 +13,7 @@
 //     kAlertEvidence span carries the record anchor inside the alert's
 //     own trace, so chunk-trace drops cannot bend the measurement).
 //
-// Registered only when HS_OBS_ENABLED (tests/CMakeLists.txt); runs for
-// seeds 7 and 42 like the other determinism suites.
+// Runs for seeds 7 and 42 like the other determinism suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>

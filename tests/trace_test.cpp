@@ -1,6 +1,4 @@
-// Unit contract of hs::obs::trace — registered only when HS_OBS_ENABLED
-// (tests/CMakeLists.txt), so every test may assume the hot paths are
-// compiled in.
+// Unit contract of hs::obs::trace.
 //
 // Covered: id derivation purity (ids are functions of the seed, never of
 // wall clock or prior state), the span cap (ids keep flowing, drops are
@@ -288,6 +286,16 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("bad integer field"), std::string::npos);
   }
+  // An argument past int64 is an error, not a value clamped to the limit.
+  {
+    const std::string bad =
+        "trace,span,parent,link,kind,subsys,start_us,end_us,a,b,c\n"
+        "0000000000000001,0000000000000002,0000000000000000,0000000000000000,"
+        "sim_event,sim,0,0,99999999999999999999,0,0\n";
+    const auto r = Tracer::from_csv(bad);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_NE(r.error().message.find("bad integer field"), std::string::npos);
+  }
   // Empty input.
   EXPECT_FALSE(Tracer::from_csv("").has_value());
 }
@@ -416,6 +424,7 @@ TEST(TraceMetaTest, StrictParserRejectsMalformedMetadata) {
     const char* expect;
   } cases[] = {
       {"#tracer,42\n", "#tracer wants seed,max_spans"},
+      {"#tracer, 42,100\n", "bad #tracer field"},
       {"#tracer,42,100\n#tracer,42,100\n", "duplicate #tracer line"},
       {"#sampling,2000000,0,0\n", "bad #sampling field"},
       {"#sampling,500000,0\n", "#sampling wants keep,emitted,dropped"},

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "util/expected.hpp"
@@ -258,6 +260,35 @@ TEST(Strings, JoinAndPad) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("abcdef", 3), "abc");
+}
+
+TEST(Strings, ParseNumberTakesOnlyWholeInRangeTokens) {
+  int i = 7;
+  EXPECT_TRUE(parse_number("-42", i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad : {"", "7x", "x", " 1", "+1", "1.5", "2147483648"}) {
+    EXPECT_FALSE(parse_number(bad, i)) << bad;
+  }
+  EXPECT_EQ(i, -42);  // untouched by the failures
+
+  std::int64_t wide = 0;
+  EXPECT_TRUE(parse_number("9223372036854775807", wide));
+  EXPECT_FALSE(parse_number("9223372036854775808", wide));
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(parse_number("-1", u));
+  EXPECT_FALSE(parse_number("18446744073709551616", u));
+
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("1e+06", d));
+  EXPECT_EQ(d, 1e6);
+  EXPECT_TRUE(parse_number("-0.25", d));
+  EXPECT_EQ(d, -0.25);
+  for (const char* bad : {"", "abc", "1.5x", "nan", "inf", "1e999", "0x10"}) {
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+  }
 }
 
 // -------------------------------------------------------------------- Vec2
