@@ -4,7 +4,8 @@
 #
 #   default  RelWithDebInfo, no instrumentation — the baseline suite
 #   asan     AddressSanitizer across every target, full suite
-#   tsan     ThreadSanitizer, `ctest -L concurrency` (the preset filters)
+#   tsan     ThreadSanitizer, `ctest -L concurrency` (the preset filters),
+#            one ctest entry per test case
 #   ubsan    UndefinedBehaviorSanitizer across every target, full suite
 #
 #   scripts/ci.sh                             # full matrix
@@ -37,15 +38,12 @@ esac
 # (power-storm / generated cascades over 2-day missions) must produce a
 # byte-identical aggregate dump for threads=1 vs threads=hw, plus one
 # instrumented storm habitat for the record->raise latency readout
-# (cascade_storm exits non-zero on any dump divergence). The scenario
-# unit suite runs again under its own label so a cascade regression is
-# named in the CI log even when the full ctest pass above is skipped.
+# (cascade_storm exits non-zero on any dump divergence). The
+# `scenario`-labelled tests already ran in `ctest --preset default`.
 case " $PRESETS " in
   *" default "*)
     echo "=== [default] cascade_storm smoke (4 habitats) ==="
     ./build/bench/cascade_storm 4 2 42
-    echo "=== [default] ctest -L scenario ==="
-    ctest --test-dir build -L scenario --output-on-failure
     ;;
 esac
 

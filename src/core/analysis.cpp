@@ -23,6 +23,12 @@ double overlap_seconds(const std::vector<std::pair<double, double>>& intervals, 
   return total;
 }
 
+/// Append the slice [run.begin, run.end) of a batch column.
+template <typename T>
+void append_run(std::vector<T>& dst, const std::vector<T>& src, const DayRun& run) {
+  dst.insert(dst.end(), src.data() + run.begin, src.data() + run.end);
+}
+
 }  // namespace
 
 AnalysisPipeline::AnalysisPipeline(const Dataset& dataset, PipelineOptions options)
@@ -170,56 +176,46 @@ void AnalysisPipeline::assemble() {
 
   // 3. Attribute records to astronauts (worn periods only). Several badges
   // can feed one astronaut (the day-9 swap, F reusing C's badge). Each
-  // badge shard builds an arena-backed RecordBatch (rectified + worn-
-  // filtered columns, one batch per shard — the docs/CONCURRENCY.md
-  // batch-ownership rule). The merge then walks the batches serially in
-  // log order, resolves ownership once per badge-day run, and appends the
-  // kept column slices into cols_ before the arenas die, so the append
+  // badge shard builds a RecordBatch (rectified + worn-filtered columns;
+  // the batch owns its vectors and belongs to that one shard — the
+  // docs/CONCURRENCY.md batch-ownership rule). The merge then walks the
+  // batches serially in log order, resolves ownership once per badge-day
+  // run, and appends the kept column slices into cols_, so the append
   // order is the same for every thread count.
-  std::vector<ColumnArena> arenas(nlogs);
   std::vector<RecordBatch> batches(nlogs);
   util::parallel_for(pool, nlogs, [&](std::size_t i) {
-    batches[i] =
-        RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i], arenas[i]);
+    batches[i] = RecordBatch::build(logs[i].id, logs[i].card, *fit_slot[i], *worn_slot[i]);
   });
   trace_stage(nlogs);
   for (std::size_t i = 0; i < nlogs; ++i) {
     const RecordBatch& batch = batches[i];
+    const PersonColumns& bc = batch.cols;
     std::array<std::uint64_t, crew::kCrewSize> attributed{};
-    for (const DayRun& run : batch.obs.days) {
+    for (const DayRun& run : batch.obs_days) {
       if (const auto who = ownership.owner(batch.badge, run.day)) {
         PersonColumns& pc = cols_[*who];
-        pc.obs_t.insert(pc.obs_t.end(), batch.obs.t_s + run.begin, batch.obs.t_s + run.end);
-        pc.obs_beacon.insert(pc.obs_beacon.end(), batch.obs.beacon + run.begin,
-                             batch.obs.beacon + run.end);
-        pc.obs_rssi.insert(pc.obs_rssi.end(), batch.obs.rssi_dbm + run.begin,
-                           batch.obs.rssi_dbm + run.end);
+        append_run(pc.obs_t, bc.obs_t, run);
+        append_run(pc.obs_beacon, bc.obs_beacon, run);
+        append_run(pc.obs_rssi, bc.obs_rssi, run);
         attributed[*who] += run.end - run.begin;
       }
     }
-    for (const DayRun& run : batch.audio.days) {
+    for (const DayRun& run : batch.audio_days) {
       if (const auto who = ownership.owner(batch.badge, run.day)) {
         PersonColumns& pc = cols_[*who];
-        pc.audio_t.insert(pc.audio_t.end(), batch.audio.t_s + run.begin,
-                          batch.audio.t_s + run.end);
-        pc.audio_level_db.insert(pc.audio_level_db.end(), batch.audio.level_db + run.begin,
-                                 batch.audio.level_db + run.end);
-        pc.audio_voiced.insert(pc.audio_voiced.end(), batch.audio.voiced_fraction + run.begin,
-                               batch.audio.voiced_fraction + run.end);
-        pc.audio_f0.insert(pc.audio_f0.end(), batch.audio.f0_hz + run.begin,
-                           batch.audio.f0_hz + run.end);
+        append_run(pc.audio_t, bc.audio_t, run);
+        append_run(pc.audio_level_db, bc.audio_level_db, run);
+        append_run(pc.audio_voiced, bc.audio_voiced, run);
+        append_run(pc.audio_f0, bc.audio_f0, run);
         attributed[*who] += run.end - run.begin;
       }
     }
-    for (const DayRun& run : batch.motion.days) {
+    for (const DayRun& run : batch.motion_days) {
       if (const auto who = ownership.owner(batch.badge, run.day)) {
         PersonColumns& pc = cols_[*who];
-        pc.motion_t.insert(pc.motion_t.end(), batch.motion.t_s + run.begin,
-                           batch.motion.t_s + run.end);
-        pc.motion_accel_var.insert(pc.motion_accel_var.end(), batch.motion.accel_var + run.begin,
-                                   batch.motion.accel_var + run.end);
-        pc.motion_step_hz.insert(pc.motion_step_hz.end(), batch.motion.step_freq_hz + run.begin,
-                                 batch.motion.step_freq_hz + run.end);
+        append_run(pc.motion_t, bc.motion_t, run);
+        append_run(pc.motion_accel_var, bc.motion_accel_var, run);
+        append_run(pc.motion_step_hz, bc.motion_step_hz, run);
         attributed[*who] += run.end - run.begin;
       }
     }
@@ -282,7 +278,7 @@ AnalysisPipeline::DailySeries AnalysisPipeline::fig4_walking() const {
   // Each astronaut owns column i of every row — disjoint writes, so the
   // crew axis shards freely.
   util::parallel_for(pool_.get(), crew::kCrewSize, [&](std::size_t i) {
-    // The sorted motion columns split into maximal same-day runs, one SIMD
+    // The sorted motion columns split into maximal same-day runs, one
     // predicate count per run. Runs past the instrumented window stop
     // processing; runs before it or shorter than 10 minutes yield no
     // estimate.

@@ -33,68 +33,59 @@ std::vector<DayRun> day_runs(const double* t_s, std::size_t n) {
 
 RecordBatch RecordBatch::build(io::BadgeId badge, const badge::SdCard& card,
                                const timesync::ClockFit& fit,
-                               const std::vector<std::pair<double, double>>& worn,
-                               ColumnArena& arena) {
+                               const std::vector<std::pair<double, double>>& worn) {
   RecordBatch batch;
   batch.badge = badge;
+  PersonColumns& c = batch.cols;
 
   {
     const auto& src = card.beacon_obs();
-    batch.obs.t_s = arena.alloc<double>(src.size());
-    batch.obs.beacon = arena.alloc<io::BeaconId>(src.size());
-    batch.obs.rssi_dbm = arena.alloc<std::int8_t>(src.size());
+    c.obs_t.reserve(src.size());
+    c.obs_beacon.reserve(src.size());
+    c.obs_rssi.reserve(src.size());
     IntervalCursor cursor(worn);
-    std::size_t m = 0;
     for (const auto& r : src) {
       const double t = fit.rectify(r.t) / 1000.0;
       if (!cursor.contains(t)) continue;
-      batch.obs.t_s[m] = t;
-      batch.obs.beacon[m] = r.beacon;
-      batch.obs.rssi_dbm[m] = r.rssi_dbm;
-      ++m;
+      c.obs_t.push_back(t);
+      c.obs_beacon.push_back(r.beacon);
+      c.obs_rssi.push_back(r.rssi_dbm);
     }
-    batch.obs.size = m;
-    batch.obs.days = day_runs(batch.obs.t_s, m);
+    batch.obs_days = day_runs(c.obs_t.data(), c.obs_t.size());
   }
 
   {
     const auto& src = card.audio();
-    batch.audio.t_s = arena.alloc<double>(src.size());
-    batch.audio.level_db = arena.alloc<float>(src.size());
-    batch.audio.voiced_fraction = arena.alloc<float>(src.size());
-    batch.audio.f0_hz = arena.alloc<float>(src.size());
+    c.audio_t.reserve(src.size());
+    c.audio_level_db.reserve(src.size());
+    c.audio_voiced.reserve(src.size());
+    c.audio_f0.reserve(src.size());
     IntervalCursor cursor(worn);
-    std::size_t m = 0;
     for (const auto& r : src) {
       const double t = fit.rectify(r.t) / 1000.0;
       if (!cursor.contains(t)) continue;
-      batch.audio.t_s[m] = t;
-      batch.audio.level_db[m] = r.level_db;
-      batch.audio.voiced_fraction[m] = r.voiced_fraction;
-      batch.audio.f0_hz[m] = r.dominant_f0_hz;
-      ++m;
+      c.audio_t.push_back(t);
+      c.audio_level_db.push_back(r.level_db);
+      c.audio_voiced.push_back(r.voiced_fraction);
+      c.audio_f0.push_back(r.dominant_f0_hz);
     }
-    batch.audio.size = m;
-    batch.audio.days = day_runs(batch.audio.t_s, m);
+    batch.audio_days = day_runs(c.audio_t.data(), c.audio_t.size());
   }
 
   {
     const auto& src = card.motion();
-    batch.motion.t_s = arena.alloc<double>(src.size());
-    batch.motion.accel_var = arena.alloc<float>(src.size());
-    batch.motion.step_freq_hz = arena.alloc<float>(src.size());
+    c.motion_t.reserve(src.size());
+    c.motion_accel_var.reserve(src.size());
+    c.motion_step_hz.reserve(src.size());
     IntervalCursor cursor(worn);
-    std::size_t m = 0;
     for (const auto& r : src) {
       const double t = fit.rectify(r.t) / 1000.0;
       if (!cursor.contains(t)) continue;
-      batch.motion.t_s[m] = t;
-      batch.motion.accel_var[m] = r.accel_var;
-      batch.motion.step_freq_hz[m] = r.step_freq_hz;
-      ++m;
+      c.motion_t.push_back(t);
+      c.motion_accel_var.push_back(r.accel_var);
+      c.motion_step_hz.push_back(r.step_freq_hz);
     }
-    batch.motion.size = m;
-    batch.motion.days = day_runs(batch.motion.t_s, m);
+    batch.motion_days = day_runs(c.motion_t.data(), c.motion_t.size());
   }
 
   return batch;

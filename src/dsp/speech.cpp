@@ -3,8 +3,6 @@
 #include <cmath>
 #include <map>
 
-#include "util/simd.hpp"
-
 namespace hs::dsp {
 
 std::vector<SpeechInterval> SpeechDetector::analyze(const double* t_s, const float* level_db,
@@ -13,12 +11,6 @@ std::vector<SpeechInterval> SpeechDetector::analyze(const double* t_s, const flo
                                                     double t0_s) const {
   std::vector<SpeechInterval> out;
   if (n == 0) return out;
-
-  // The voiced-frame predicate as a branch-free SIMD mask (the exact
-  // kernel widens floats to double like the scalar compare).
-  std::vector<std::uint8_t> voiced(n);
-  util::simd::mask_ge2(voiced_fraction, level_db, n, params_.min_voiced_fraction,
-                       params_.min_level_db, voiced.data());
 
   SpeechInterval cur;
   std::int64_t cur_slot = -1;
@@ -56,7 +48,9 @@ std::vector<SpeechInterval> SpeechDetector::analyze(const double* t_s, const flo
       f0_votes.clear();
     }
     ++cur.total_frames;
-    if (voiced[i] != 0) {
+    // The voiced rule: each float promotes to double against the double
+    // thresholds, and NaN compares false.
+    if (voiced_fraction[i] >= params_.min_voiced_fraction && level_db[i] >= params_.min_level_db) {
       ++cur.voiced_frames;
       voiced_db_sum += level_db[i];
       const float f0 = f0_hz[i];

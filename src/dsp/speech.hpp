@@ -65,8 +65,7 @@ class SpeechDetector {
   /// interval_s boundaries relative to origin t0_s. Intervals with no
   /// frames at all (badge inactive) are omitted. A frame is voiced when
   /// voiced_fraction >= min_voiced_fraction and level_db >= min_level_db,
-  /// evaluated as a SIMD mask (util/simd.hpp, exact against the scalar
-  /// float-to-double promotion; NaN is never voiced).
+  /// each float compared as a double (NaN is never voiced).
   [[nodiscard]] std::vector<SpeechInterval> analyze(const double* t_s, const float* level_db,
                                                     const float* voiced_fraction,
                                                     const float* f0_hz, std::size_t n,

@@ -1,7 +1,5 @@
 #include "dsp/walking.hpp"
 
-#include "util/simd.hpp"
-
 namespace hs::dsp {
 
 bool WalkingDetector::is_walking(const io::MotionFrame& frame) const {
@@ -9,30 +7,19 @@ bool WalkingDetector::is_walking(const io::MotionFrame& frame) const {
          frame.accel_var >= params_.min_accel_var;
 }
 
-std::size_t WalkingDetector::count_walking(const std::vector<io::MotionFrame>& frames) const {
-  std::size_t n = 0;
-  for (const auto& f : frames) {
-    if (is_walking(f)) ++n;
-  }
-  return n;
-}
-
 std::size_t WalkingDetector::count_walking(const float* step_freq_hz, const float* accel_var,
                                            std::size_t n) const {
-  return util::simd::count_band_ge(step_freq_hz, accel_var, n, params_.min_step_hz,
-                                   params_.max_step_hz, params_.min_accel_var);
-}
-
-double WalkingDetector::walking_fraction(const std::vector<io::MotionFrame>& frames) const {
-  if (frames.empty()) return 0.0;
-  return static_cast<double>(count_walking(frames)) / static_cast<double>(frames.size());
-}
-
-double WalkingDetector::mean_accel_var(const std::vector<io::MotionFrame>& frames) {
-  if (frames.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& f : frames) sum += f.accel_var;
-  return sum / static_cast<double>(frames.size());
+  // Same expression as is_walking: each float promotes to double against
+  // the double thresholds (0.9 is not a float, so comparing in float would
+  // count 0.9f), and NaN compares false.
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (step_freq_hz[i] >= params_.min_step_hz && step_freq_hz[i] <= params_.max_step_hz &&
+        accel_var[i] >= params_.min_accel_var) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 }  // namespace hs::dsp

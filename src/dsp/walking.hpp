@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "io/records.hpp"
 
@@ -28,22 +26,11 @@ class WalkingDetector {
 
   [[nodiscard]] bool is_walking(const io::MotionFrame& frame) const;
 
-  /// Count walking frames in a stream.
-  [[nodiscard]] std::size_t count_walking(const std::vector<io::MotionFrame>& frames) const;
-
-  /// Columnar count over contiguous feature columns (a RecordBatch or
-  /// PersonColumns slice): same predicate, bit-identical count, evaluated
-  /// via the exact SIMD kernel in util/simd.hpp (floats widened to double
-  /// before comparing, matching the scalar promotion; NaN never counts).
+  /// Count walking frames over contiguous feature columns (a RecordBatch
+  /// or PersonColumns slice): the is_walking predicate on each index, so
+  /// the count equals the per-frame one (NaN never counts).
   [[nodiscard]] std::size_t count_walking(const float* step_freq_hz, const float* accel_var,
                                           std::size_t n) const;
-
-  /// Fraction of frames classified as walking (0 when empty).
-  [[nodiscard]] double walking_fraction(const std::vector<io::MotionFrame>& frames) const;
-
-  /// Mean acceleration-magnitude variance across frames (the paper's
-  /// "average daily acceleration" proxy).
-  [[nodiscard]] static double mean_accel_var(const std::vector<io::MotionFrame>& frames);
 
   [[nodiscard]] const WalkingParams& params() const { return params_; }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "util/simd.hpp"
-
 namespace hs::sna {
 
 bool Meeting::involves(std::size_t who) const {
@@ -59,8 +57,8 @@ void emit_room_meetings(const std::uint16_t* occ, const std::uint8_t* raster, st
     m.end_s = t0_s + static_cast<double>(end);
     // Participants: present for at least 30% of the meeting.
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t present = util::simd::count_eq_u8(raster + i * span + begin, end - begin,
-                                                          static_cast<std::uint8_t>(room));
+      const std::uint8_t* row = raster + i * span;
+      const auto present = std::count(row + begin, row + end, static_cast<std::uint8_t>(room));
       if (static_cast<double>(present) >= 0.3 * duration) m.participants.push_back(i);
     }
     if (m.participants.size() >= 2) meetings.push_back(std::move(m));

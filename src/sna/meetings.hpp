@@ -9,8 +9,8 @@
 //
 // Both entry points work over spans of per-astronaut tracks/intervals
 // (docs/PERFORMANCE.md, "Artifact layer"): detection fills a flat
-// astronaut-major room raster whose per-room membership counts vectorize
-// with the exact util::simd byte kernel, and speech enrichment groups
+// astronaut-major room raster whose per-room membership counts are
+// std::count over raster rows, and speech enrichment groups
 // 15 s slots with a stable sort. tests/meetings_property_test.cpp checks
 // detection against a brute-force per-second oracle.
 #pragma once

@@ -1,10 +1,10 @@
-// Columnar record-batch coverage: arena allocation, day-run splitting,
-// the exact SIMD predicate kernels, the column DSP entry points against
-// per-frame scalar oracles, and the whole pipeline against a per-record
-// (row-wise) attribution oracle on the edge cases the mission simulator
-// never produces on its own — an empty badge-day, a single-record day,
-// records straddling midnight, a badge swap and reuse, same-timestamp
-// observations, NaN features and a recordless badge.
+// Columnar record-batch coverage: day-run splitting, batch construction,
+// the column DSP entry points against per-frame scalar oracles, and the
+// whole pipeline against a per-record (row-wise) attribution oracle on
+// the edge cases the mission simulator never produces on its own — an
+// empty badge-day, a single-record day, records straddling midnight, a
+// badge swap and reuse, same-timestamp observations, NaN features and a
+// recordless badge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "habitat/habitat.hpp"
 #include "locate/room_classifier.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/units.hpp"
 
 namespace hs::core {
@@ -31,36 +30,6 @@ namespace {
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-// --- ColumnArena -----------------------------------------------------------
-
-TEST(ColumnArena, AlignsEveryAllocation) {
-  ColumnArena arena(256);
-  for (int i = 0; i < 20; ++i) {
-    const auto* p = arena.alloc<float>(static_cast<std::size_t>(i * 3 + 1));
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % ColumnArena::kAlignment, 0u);
-  }
-}
-
-TEST(ColumnArena, EmptyAllocationIsNonNull) {
-  ColumnArena arena;
-  EXPECT_NE(arena.alloc<double>(0), nullptr);
-  EXPECT_EQ(arena.bytes_used(), 0u);
-}
-
-TEST(ColumnArena, AccountsUsedAndReservedAcrossSlabGrowth) {
-  ColumnArena arena(/*initial_bytes=*/128);
-  // Each alloc rounds up to the 64-byte alignment quantum.
-  (void)arena.alloc<double>(8);  // 64 bytes
-  EXPECT_EQ(arena.bytes_used(), 64u);
-  (void)arena.alloc<float>(100);  // 448 bytes -> forces a larger slab
-  EXPECT_EQ(arena.bytes_used(), 64u + 448u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-  // Old slabs stay alive: the first pointer must still be dereferenceable,
-  // which ASan would catch if the slab were freed on growth.
-  const auto* p = arena.alloc<std::int8_t>(1);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % ColumnArena::kAlignment, 0u);
-}
 
 // --- day_runs --------------------------------------------------------------
 
@@ -116,73 +85,6 @@ TEST(DayRuns, UnsortedInputYieldsExtraRunsNeverWrongDays) {
   EXPECT_EQ(runs[2], (DayRun{2, 2, 3}));
 }
 
-// --- SIMD kernels ----------------------------------------------------------
-
-std::size_t scalar_count_band_ge(const std::vector<float>& x, const std::vector<float>& y,
-                                 double xlo, double xhi, double ymin) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (static_cast<double>(x[i]) >= xlo && static_cast<double>(x[i]) <= xhi &&
-        static_cast<double>(y[i]) >= ymin) {
-      ++count;
-    }
-  }
-  return count;
-}
-
-TEST(SimdKernels, CountBandGeMatchesScalarOnEdgeValues) {
-  // Threshold 0.9 is not exactly representable: 0.9f and the double 0.9
-  // round differently, so a kernel comparing in float would misclassify
-  // 0.9f. The edge set pins the widen-before-compare rule.
-  std::vector<float> x = {0.9F, 0.89999997F, 3.2F, 3.2000002F, kNaN, kInf, -kInf, 0.0F, 1.5F};
-  std::vector<float> y = {1.2F, 5.0F, 1.2F, 1.2F, 1.2F, 1.2F, 1.2F, kNaN, 1.19999998F};
-  // Pad through several vector widths to exercise both lanes and tail.
-  while (x.size() < 23) {
-    x.push_back(x[x.size() % 9]);
-    y.push_back(y[y.size() % 9]);
-  }
-  for (std::size_t n = 0; n <= x.size(); ++n) {
-    const std::vector<float> xs(x.begin(), x.begin() + static_cast<std::ptrdiff_t>(n));
-    const std::vector<float> ys(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(n));
-    EXPECT_EQ(util::simd::count_band_ge(xs.data(), ys.data(), n, 0.9, 3.2, 1.2),
-              scalar_count_band_ge(xs, ys, 0.9, 3.2, 1.2))
-        << "n=" << n;
-  }
-}
-
-TEST(SimdKernels, CountBandGeMatchesScalarOnRandomData) {
-  Rng rng(7);
-  std::vector<float> x;
-  std::vector<float> y;
-  for (int i = 0; i < 1000; ++i) {
-    x.push_back(rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 4.0)));
-    y.push_back(rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 3.0)));
-  }
-  EXPECT_EQ(util::simd::count_band_ge(x.data(), y.data(), x.size(), 0.9, 3.2, 1.2),
-            scalar_count_band_ge(x, y, 0.9, 3.2, 1.2));
-}
-
-TEST(SimdKernels, MaskGe2MatchesScalar) {
-  std::vector<float> a = {60.0F, 59.999996F, 60.000004F, kNaN, kInf, -kInf, 0.0F};
-  std::vector<float> b = {0.25F, 0.25F, 0.24999999F, 0.25F, kNaN, 0.25F, 1.0F};
-  Rng rng(42);
-  while (a.size() < 100) {
-    a.push_back(static_cast<float>(rng.uniform(40.0, 80.0)));
-    b.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
-  }
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-                        std::size_t{7}, a.size()}) {
-    std::vector<std::uint8_t> out(n + 1, 0xAB);
-    util::simd::mask_ge2(a.data(), b.data(), n, 60.0, 0.25, out.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t want =
-          (static_cast<double>(a[i]) >= 60.0 && static_cast<double>(b[i]) >= 0.25) ? 1 : 0;
-      EXPECT_EQ(out[i], want) << "n=" << n << " i=" << i;
-    }
-    EXPECT_EQ(out[n], 0xAB) << "kernel wrote past n=" << n;
-  }
-}
-
 // --- column DSP entry points --------------------------------------------
 
 TEST(ColumnarDsp, WalkingCountMatchesRowWise) {
@@ -203,7 +105,6 @@ TEST(ColumnarDsp, WalkingCountMatchesRowWise) {
   for (const auto& f : frames) per_frame += d.is_walking(f) ? 1 : 0;
   ASSERT_GT(per_frame, 0u);
   EXPECT_EQ(d.count_walking(step.data(), var.data(), step.size()), per_frame);
-  EXPECT_EQ(d.count_walking(step.data(), var.data(), step.size()), d.count_walking(frames));
   EXPECT_EQ(d.count_walking(step.data(), var.data(), 0), 0u);
   EXPECT_EQ(d.count_walking(step.data(), var.data(), 1),
             d.is_walking(frames[0]) ? 1u : 0u);
@@ -228,19 +129,12 @@ struct AudioCols {
   }
 };
 
-TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
-  // Random frames with NaN features against a per-frame (row-wise)
-  // oracle: the scalar voiced rule on each frame, frames grouped by their
-  // 15 s slot, counts, level sums and f0 votes per slot.
-  Rng rng(13);
-  AudioCols cols;
-  for (int i = 0; i < 600; ++i) {
-    cols.add(1000.0 + i + rng.uniform(0.0, 0.4),
-             rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(40.0, 80.0)),
-             rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 1.0)),
-             rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(90.0, 260.0)) : 0.0F);
-  }
-  const dsp::SpeechDetector d;
+/// Checks d.analyze over `cols` against a per-frame (row-wise) oracle:
+/// the voiced rule on each frame, compared in double, frames grouped by
+/// their 15 s slot, counts, level sums and f0 votes per slot. Returns the
+/// intervals analyze produced.
+std::vector<dsp::SpeechInterval> expect_matches_per_frame(const AudioCols& cols,
+                                                          const dsp::SpeechDetector& d) {
   const auto& p = d.params();
   struct Slot {
     std::uint32_t total = 0;
@@ -252,7 +146,8 @@ TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
   for (std::size_t i = 0; i < cols.t.size(); ++i) {
     Slot& slot = slots[static_cast<std::int64_t>(std::floor(cols.t[i] / p.interval_s))];
     ++slot.total;
-    if (cols.voiced[i] >= p.min_voiced_fraction && cols.level[i] >= p.min_level_db) {
+    if (static_cast<double>(cols.voiced[i]) >= p.min_voiced_fraction &&
+        static_cast<double>(cols.level[i]) >= p.min_level_db) {
       ++slot.voiced;
       slot.db_sum += cols.level[i];
       if (cols.f0[i] > 0.0F) {
@@ -261,9 +156,9 @@ TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
     }
   }
   const auto got = cols.analyze(d, 0.0);
-  ASSERT_EQ(got.size(), slots.size());
+  EXPECT_EQ(got.size(), slots.size());
+  if (got.size() != slots.size()) return got;
   std::size_t k = 0;
-  std::size_t speech = 0;
   for (const auto& [index, slot] : slots) {
     const dsp::SpeechInterval& iv = got[k++];
     EXPECT_EQ(iv.start_s, static_cast<double>(index) * p.interval_s) << index;
@@ -280,13 +175,55 @@ TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
       }
     }
     EXPECT_EQ(iv.dominant_f0_hz, static_cast<double>(best_f0)) << index;
-    speech += iv.speech ? 1 : 0;
   }
-  EXPECT_GT(speech, 0u);
-  EXPECT_LT(speech, got.size());
+  return got;
+}
+
+TEST(ColumnarDsp, SpeechAnalyzeMatchesRowWise) {
+  // Random frames with NaN features against the per-frame oracle.
+  Rng rng(13);
+  AudioCols cols;
+  for (int i = 0; i < 600; ++i) {
+    cols.add(1000.0 + i + rng.uniform(0.0, 0.4),
+             rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(40.0, 80.0)),
+             rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 1.0)),
+             rng.bernoulli(0.5) ? static_cast<float>(rng.uniform(90.0, 260.0)) : 0.0F);
+  }
+  const dsp::SpeechDetector d;
+  const auto got = expect_matches_per_frame(cols, d);
+  const auto speech = std::count_if(got.begin(), got.end(),
+                                    [](const dsp::SpeechInterval& iv) { return iv.speech; });
+  EXPECT_GT(speech, 0);
+  EXPECT_LT(static_cast<std::size_t>(speech), got.size());
   EXPECT_TRUE(d.analyze(cols.t.data(), cols.level.data(), cols.voiced.data(), cols.f0.data(), 0,
                         0.0)
                   .empty());
+
+  // Thresholds float cannot represent, both rounding down: 60.1f is
+  // 60.0999985 and 0.35f is 0.3499999940, so a rule comparing in float
+  // would take the 60.1f and 0.35f frames the double rule rejects. The
+  // edge set puts floats at and beside each threshold, the old 60 dB /
+  // 0.25 edges, and NaN and +-inf in either column into one slot: 4 of
+  // its 16 frames are voiced.
+  dsp::SpeechParams odd;
+  odd.min_level_db = 60.1;
+  odd.min_voiced_fraction = 0.35;
+  const dsp::SpeechDetector d_odd(odd);
+  const std::vector<float> level = {60.1F, 60.100002F, 60.09999F, 60.0F, 59.999996F, 60.000004F,
+                                    kNaN,  kInf,       -kInf,     0.0F,  70.0F,      70.0F,
+                                    70.0F, 70.0F,      70.0F,     70.0F};
+  const std::vector<float> voiced = {0.5F,  0.5F,        0.5F,        0.25F, 0.25F, 0.24999999F,
+                                     0.5F,  0.5F,        0.5F,        1.0F,  0.35F, 0.35000002F,
+                                     0.34999996F, kNaN, kInf, -kInf};
+  AudioCols edges;
+  for (std::size_t i = 0; i < level.size(); ++i) {
+    edges.add(0.5 * static_cast<double>(i), level[i], voiced[i], 120.0F);
+  }
+  const auto edge_got = expect_matches_per_frame(edges, d_odd);
+  ASSERT_EQ(edge_got.size(), 1u);
+  EXPECT_EQ(edge_got[0].total_frames, 16u);
+  EXPECT_EQ(edge_got[0].voiced_frames, 4u);
+  expect_matches_per_frame(cols, d_odd);
 
   // Hand-computed intervals. Slot [0, 15): four voiced frames, one on
   // both thresholds exactly, three that miss the rule (NaN level, NaN
@@ -360,14 +297,15 @@ TEST(ColumnarDsp, RoomClassifyMatchesHandComputedStays) {
 
 TEST(RecordBatchBuild, EmptyCardYieldsEmptyColumns) {
   badge::SdCard card;
-  ColumnArena arena;
   const timesync::ClockFit fit;
-  const auto batch = RecordBatch::build(3, card, fit, {}, arena);
+  const auto batch = RecordBatch::build(3, card, fit, {});
   EXPECT_EQ(batch.badge, 3);
-  EXPECT_EQ(batch.total_records(), 0u);
-  EXPECT_TRUE(batch.obs.days.empty());
-  EXPECT_TRUE(batch.audio.days.empty());
-  EXPECT_TRUE(batch.motion.days.empty());
+  EXPECT_TRUE(batch.cols.obs_t.empty());
+  EXPECT_TRUE(batch.cols.audio_t.empty());
+  EXPECT_TRUE(batch.cols.motion_t.empty());
+  EXPECT_TRUE(batch.obs_days.empty());
+  EXPECT_TRUE(batch.audio_days.empty());
+  EXPECT_TRUE(batch.motion_days.empty());
 }
 
 TEST(RecordBatchBuild, AppliesRectifyAndWornFilterExactly) {
@@ -385,8 +323,7 @@ TEST(RecordBatchBuild, AppliesRectifyAndWornFilterExactly) {
   }
   // Worn only for rectified seconds [10, 20) and [30, 35).
   const std::vector<std::pair<double, double>> worn = {{10.0, 20.0}, {30.0, 35.0}};
-  ColumnArena arena;
-  const auto batch = RecordBatch::build(0, card, fit, worn, arena);
+  const auto batch = RecordBatch::build(0, card, fit, worn);
   // Reference: the per-record expression over the same records.
   std::vector<double> want_t;
   std::vector<float> want_var;
@@ -397,14 +334,12 @@ TEST(RecordBatchBuild, AppliesRectifyAndWornFilterExactly) {
     want_t.push_back(t);
     want_var.push_back(m.accel_var);
   }
-  ASSERT_EQ(batch.motion.size, want_t.size());
-  ASSERT_GT(batch.motion.size, 0u);
-  for (std::size_t i = 0; i < batch.motion.size; ++i) {
-    EXPECT_EQ(batch.motion.t_s[i], want_t[i]) << i;  // bit-identical, not approx
-    EXPECT_EQ(batch.motion.accel_var[i], want_var[i]) << i;
-  }
-  EXPECT_EQ(batch.obs.size, 0u);
-  EXPECT_EQ(batch.audio.size, 0u);
+  ASSERT_GT(want_t.size(), 0u);
+  EXPECT_EQ(batch.cols.motion_t, want_t);  // bit-identical, not approx
+  EXPECT_EQ(batch.cols.motion_accel_var, want_var);
+  EXPECT_EQ(batch.cols.motion_step_hz, std::vector<float>(want_t.size(), 1.5F));
+  EXPECT_TRUE(batch.cols.obs_t.empty());
+  EXPECT_TRUE(batch.cols.audio_t.empty());
 }
 
 TEST(RecordBatchBuild, DayRunsCoverStraddlingStreams) {
@@ -421,12 +356,12 @@ TEST(RecordBatchBuild, DayRunsCoverStraddlingStreams) {
     card.log(a);
   }
   const std::vector<std::pair<double, double>> worn = {{0.0, 1e12}};
-  ColumnArena arena;
-  const auto batch = RecordBatch::build(0, card, fit, worn, arena);
-  ASSERT_EQ(batch.audio.size, 9u);
-  ASSERT_EQ(batch.audio.days.size(), 2u);
-  EXPECT_EQ(batch.audio.days[0], (DayRun{2, 0, 4}));
-  EXPECT_EQ(batch.audio.days[1], (DayRun{3, 4, 9}));
+  const auto batch = RecordBatch::build(0, card, fit, worn);
+  ASSERT_EQ(batch.cols.audio_t.size(), 9u);
+  EXPECT_EQ(batch.cols.audio_level_db.size(), 9u);
+  EXPECT_EQ(batch.cols.audio_voiced.size(), 9u);
+  EXPECT_EQ(batch.cols.audio_f0.size(), 9u);
+  EXPECT_EQ(batch.audio_days, (std::vector<DayRun>{{2, 0, 4}, {3, 4, 9}}));
 }
 
 // --- pipeline vs a per-record attribution oracle on edge-case datasets ------

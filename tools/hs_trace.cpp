@@ -17,6 +17,9 @@
 //   --export-perfetto out.json   Chrome trace-event JSON (open in
 //                                Perfetto / chrome://tracing)
 //
+// --seed, --days and --sample take one whole number each (hs::parse_number:
+// no trailing junk, no sign on the seed); --days is at least 1.
+//
 // Exit status: 0 on success; 1 on usage/parse errors, a lineage that is
 // not durably complete, or a missing alert — so CI can assert causality
 // end-to-end by just running the tool (tests/CMakeLists.txt does).
@@ -33,6 +36,7 @@
 #include "mesh/read_view.hpp"
 #include "obs/obs.hpp"
 #include "support/system.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -77,15 +81,21 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.scenario = v;
     } else if (std::strcmp(arg, "--seed") == 0) {
       if ((v = value(i)) == nullptr) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, opt.seed)) {
+        std::fprintf(stderr, "hs_trace: --seed wants an unsigned integer, got '%s'\n", v);
+        return false;
+      }
     } else if (std::strcmp(arg, "--days") == 0) {
       if ((v = value(i)) == nullptr) return false;
-      opt.days = std::atoi(v);
+      if (!parse_number(v, opt.days) || opt.days < 1) {
+        std::fprintf(stderr, "hs_trace: --days wants an integer >= 1, got '%s'\n", v);
+        return false;
+      }
     } else if (std::strcmp(arg, "--sample") == 0) {
       if ((v = value(i)) == nullptr) return false;
-      opt.sample_percent = std::atoi(v);
-      if (opt.sample_percent < 0 || opt.sample_percent > 100) {
-        std::fprintf(stderr, "hs_trace: --sample wants a percentage in [0, 100]\n");
+      if (!parse_number(v, opt.sample_percent) || opt.sample_percent < 0 ||
+          opt.sample_percent > 100) {
+        std::fprintf(stderr, "hs_trace: --sample wants a percentage in [0, 100], got '%s'\n", v);
         return false;
       }
     } else if (std::strcmp(arg, "--summarize") == 0) {
