@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "beacon/beacon.hpp"
@@ -291,6 +292,106 @@ TEST(ColumnarDsp, RoomClassifyMatchesHandComputedStays) {
   };
   EXPECT_EQ(classifier.classify(t.data(), id.data(), rssi.data(), t.size()), want);
   EXPECT_TRUE(classifier.classify(t.data(), id.data(), rssi.data(), 0).empty());
+}
+
+// --- column predicates -----------------------------------------------------
+// The SimdKernels suite keeps the name of the hand-vectorized kernels that
+// the plain predicate loops replaced. Each case checks a loop against a
+// per-frame oracle that compares each float promoted to double.
+
+std::size_t scalar_count_band_ge(const std::vector<float>& x, const std::vector<float>& y,
+                                 double xlo, double xhi, double ymin) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (static_cast<double>(x[i]) >= xlo && static_cast<double>(x[i]) <= xhi &&
+        static_cast<double>(y[i]) >= ymin) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(SimdKernels, CountBandGeMatchesScalarOnEdgeValues) {
+  // The thresholds 0.9 and 3.2 are not floats: promoted to double, 0.9f
+  // lies below 0.9 and 3.2f above 3.2, so is_walking rejects both while a
+  // count comparing in float would take them. 1.2f lies above the 1.2
+  // variance floor and 1.19999998f below it. NaN and +-inf appear in
+  // either column.
+  const std::vector<std::pair<float, float>> edges = {  // {step Hz, variance}
+      {0.9F, 1.2F},  {0.89999997F, 5.0F}, {3.2F, 1.2F}, {3.2000002F, 1.2F},
+      {1.5F, 1.2F},  {1.5F, 1.19999998F}, {kNaN, 1.5F}, {kInf, 1.5F},
+      {-kInf, 1.5F}, {1.5F, kNaN},        {1.5F, kInf}, {1.5F, -kInf}};
+  std::vector<float> step;
+  std::vector<float> var;
+  std::vector<io::MotionFrame> frames;
+  for (std::size_t i = 0; i < 23; ++i) {
+    const auto [hz, v] = edges[i % edges.size()];
+    step.push_back(hz);
+    var.push_back(v);
+    io::MotionFrame f;
+    f.step_freq_hz = hz;
+    f.accel_var = v;
+    frames.push_back(f);
+  }
+  const dsp::WalkingDetector d;
+  for (std::size_t n = 0; n <= frames.size(); ++n) {
+    std::size_t per_frame = 0;
+    for (std::size_t i = 0; i < n; ++i) per_frame += d.is_walking(frames[i]) ? 1 : 0;
+    EXPECT_EQ(d.count_walking(step.data(), var.data(), n), per_frame) << "n=" << n;
+  }
+  // Only {1.5, 1.2f} and {1.5, inf} walk: twice per cycle of 12.
+  EXPECT_EQ(d.count_walking(step.data(), var.data(), step.size()), 4u);
+}
+
+TEST(SimdKernels, CountBandGeMatchesScalarOnRandomData) {
+  // Default and configured bands against the oracle with the thresholds
+  // spelled out, so the count follows WalkingParams and nothing else.
+  Rng rng(7);
+  std::vector<float> x;
+  std::vector<float> y;
+  for (int i = 0; i < 1000; ++i) {
+    x.push_back(rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 4.0)));
+    y.push_back(rng.bernoulli(0.05) ? kNaN : static_cast<float>(rng.uniform(0.0, 3.0)));
+  }
+  const dsp::WalkingDetector d;
+  const std::size_t want = scalar_count_band_ge(x, y, 0.9, 3.2, 1.2);
+  ASSERT_GT(want, 0u);
+  EXPECT_EQ(d.count_walking(x.data(), y.data(), x.size()), want);
+  dsp::WalkingParams narrow;
+  narrow.min_step_hz = 1.1;
+  narrow.max_step_hz = 2.7;
+  narrow.min_accel_var = 0.7;
+  const dsp::WalkingDetector d_narrow(narrow);
+  EXPECT_EQ(d_narrow.count_walking(x.data(), y.data(), x.size()),
+            scalar_count_band_ge(x, y, 1.1, 2.7, 0.7));
+}
+
+TEST(SimdKernels, MaskGe2MatchesScalar) {
+  // The voiced rule inside SpeechDetector::analyze at the default 60 dB /
+  // 0.25 thresholds: floats at and beside each threshold, NaN and +-inf,
+  // then random frames, two frames a second. Every prefix length checks
+  // the per-slot counts against the per-frame oracle and the voiced total
+  // against the rule with the thresholds spelled out.
+  std::vector<float> a = {60.0F, 59.999996F, 60.000004F, kNaN, kInf, -kInf, 0.0F};
+  std::vector<float> b = {0.25F, 0.25F, 0.24999999F, 0.25F, kNaN, 0.25F, 1.0F};
+  Rng rng(42);
+  while (a.size() < 100) {
+    a.push_back(static_cast<float>(rng.uniform(40.0, 80.0)));
+    b.push_back(static_cast<float>(rng.uniform(0.0, 1.0)));
+  }
+  const dsp::SpeechDetector d;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
+                        std::size_t{7}, a.size()}) {
+    AudioCols cols;
+    std::uint32_t want = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      cols.add(0.5 * static_cast<double>(i), a[i], b[i], 120.0F);
+      want += (static_cast<double>(a[i]) >= 60.0 && static_cast<double>(b[i]) >= 0.25) ? 1 : 0;
+    }
+    std::uint32_t voiced = 0;
+    for (const auto& iv : expect_matches_per_frame(cols, d)) voiced += iv.voiced_frames;
+    EXPECT_EQ(voiced, want) << "n=" << n;
+  }
 }
 
 // --- RecordBatch::build ----------------------------------------------------
