@@ -8,14 +8,17 @@
 // report_diff, so every gate times and diffs the same way.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
+#include "util/strings.hpp"
 
 namespace hs::bench {
 
@@ -35,15 +38,27 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// Extract `"key": <number>` after `from` in a flat JSON text. The
-/// checked-in BENCH_*.json baselines are flat, so substring extraction
-/// is deliberate — no JSON library in the bench layer.
+/// Extract `"key": <number>` after `from` in a flat JSON text read from
+/// `file`. The checked-in BENCH_*.json baselines are flat, so substring
+/// extraction is deliberate — no JSON library in the bench layer. Returns
+/// false when the key is absent: there is no baseline for this run. A key
+/// whose value is not exactly one finite number (hs::parse_number) stops
+/// the process with status 1, naming the file and the key, so a malformed
+/// baseline never reads as 0 and silently removes a gate's floor.
 inline bool find_number(const std::string& text, const std::string& key, std::size_t from,
-                        double& out) {
+                        double& out, const std::string& file) {
   const std::string needle = "\"" + key + "\":";
   const std::size_t at = text.find(needle, from);
   if (at == std::string::npos) return false;
-  out = std::strtod(text.c_str() + at + needle.size(), nullptr);
+  const std::size_t begin =
+      std::min(text.size(), text.find_first_not_of(" \t\r\n", at + needle.size()));
+  const std::size_t end = std::min(text.size(), text.find_first_of(",}] \t\r\n", begin));
+  const std::string_view value(text.data() + begin, end - begin);
+  if (!parse_number(value, out)) {
+    std::fprintf(stderr, "%s: \"%s\" is not a number: '%.*s'\n", file.c_str(), key.c_str(),
+                 static_cast<int>(value.size()), value.data());
+    std::exit(1);
+  }
   return true;
 }
 

@@ -20,16 +20,18 @@
 // Mission-throughput gate: when the working directory holds
 // BENCH_mission.json and the run's habitats, days and seed match the ones
 // it records, a plain (no --analyze) run exits 2 if the serial pass's
-// habitat-days/s falls below 0.75 x the recorded median.
+// habitat-days/s falls below 0.75 x the recorded median. The baseline is
+// read before any campaign runs: a value in it that is not a number
+// exits 1, naming the key, and a malformed argument exits 1 with usage.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
 #include "fleet/fleet_runner.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace hs;
@@ -42,14 +44,14 @@ namespace {
 constexpr const char* kBaselinePath = "BENCH_mission.json";
 constexpr double kGateFloor = 0.75;
 
-/// Gate the serial pass's habitat-days/s against the checked-in baseline.
-/// Returns 2 below the floor, 0 otherwise (also when there is no baseline
-/// for this habitats/days/seed).
-int gate_on_baseline(int habitats, int days, std::uint64_t seed, double serial_rate) {
+/// The serial habitat-days/s that the checked-in baseline records for
+/// this habitats/days/seed, or 0 when there is none (no file, or another
+/// run recorded). Exits 1 when a value in the file is malformed.
+double baseline_rate(int habitats, int days, std::uint64_t seed) {
   std::ifstream in(kBaselinePath, std::ios::binary);
   if (!in) {
     std::printf("# no %s in the working directory; not gating\n", kBaselinePath);
-    return 0;
+    return 0.0;
   }
   std::ostringstream text;
   text << in.rdbuf();
@@ -57,16 +59,23 @@ int gate_on_baseline(int habitats, int days, std::uint64_t seed, double serial_r
   double base_days = 0.0;
   double base_seed = -1.0;
   double base_rate = 0.0;
-  if (!find_number(text.str(), "habitats", 0, base_habitats) ||
-      !find_number(text.str(), "days", 0, base_days) ||
-      !find_number(text.str(), "seed", 0, base_seed) ||
-      !find_number(text.str(), "serial_habitat_days_per_s", 0, base_rate) ||
+  if (!find_number(text.str(), "habitats", 0, base_habitats, kBaselinePath) ||
+      !find_number(text.str(), "days", 0, base_days, kBaselinePath) ||
+      !find_number(text.str(), "seed", 0, base_seed, kBaselinePath) ||
+      !find_number(text.str(), "serial_habitat_days_per_s", 0, base_rate, kBaselinePath) ||
       base_habitats != habitats || base_days != days || base_seed != static_cast<double>(seed) ||
       base_rate <= 0.0) {
     std::printf("# %s has no baseline for %d habitats x %d day(s), seed %llu; not gating\n",
                 kBaselinePath, habitats, days, static_cast<unsigned long long>(seed));
-    return 0;
+    return 0.0;
   }
+  return base_rate;
+}
+
+/// Gate the serial pass's habitat-days/s against the baseline rate.
+/// Returns 2 below the floor, 0 otherwise (also when base_rate is 0).
+int gate_on_baseline(double base_rate, double serial_rate) {
+  if (base_rate <= 0.0) return 0;
   const double ratio = serial_rate / base_rate;
   std::printf("# serial %.3f habitat-days/s vs %s %.3f: %.2fx (floor %.2fx)\n", serial_rate,
               kBaselinePath, base_rate, ratio, kGateFloor);
@@ -86,15 +95,19 @@ int main(int argc, char** argv) {
     --argc;
     ++argv;
   }
-  const int habitats = argc > 1 ? std::atoi(argv[1]) : 200;
-  const int days = argc > 2 ? std::atoi(argv[2]) : 1;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+  int habitats = 200;
+  int days = 1;
+  std::uint64_t seed = 42;
   const char* dump_path = argc > 4 ? argv[4] : nullptr;
-  if (habitats < 1 || days < 1) {
+  if ((argc > 1 && !parse_number(argv[1], habitats)) ||
+      (argc > 2 && !parse_number(argv[2], days)) || (argc > 3 && !parse_number(argv[3], seed)) ||
+      habitats < 1 || days < 1) {
     std::fprintf(stderr,
                  "usage: fleet_scale [--analyze] [habitats>=1] [days>=1] [seed] [dump.csv]\n");
     return 1;
   }
+  // A plain run is gated; read the baseline before the campaign runs.
+  const double base_rate = analyze ? 0.0 : baseline_rate(habitats, days, seed);
 
   fleet::CampaignSpec spec;
   spec.name = "fleet-scale";
@@ -157,7 +170,6 @@ int main(int argc, char** argv) {
     std::fwrite(dumps[0].data(), 1, dumps[0].size(), out);
     std::fclose(out);
   }
-  if (analyze) return 0;  // the baseline times the campaign without analysis
-  return gate_on_baseline(habitats, days, seed,
-                          static_cast<double>(habitats) * days / serial_wall);
+  // The baseline times the campaign without analysis; base_rate is 0 then.
+  return gate_on_baseline(base_rate, static_cast<double>(habitats) * days / serial_wall);
 }

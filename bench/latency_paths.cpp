@@ -21,7 +21,8 @@
 // the record anchor inside the alert's own trace).
 //
 // Exit status: 0 ok; 1 on dump divergence, sampled-latency divergence,
-// or usage errors; 2 when any p99 exceeds the checked-in baseline
+// usage errors, or a baseline value that is not a number (checked before
+// any scenario runs); 2 when any p99 exceeds the checked-in baseline
 // (BENCH_latency.json) by more than 10 %. The baseline only gates when
 // its (seed, days) match the run. --write-baseline regenerates it.
 #include <algorithm>
@@ -170,6 +171,50 @@ std::string baseline_json(std::uint64_t seed, int days, const std::vector<Scenar
   return out;
 }
 
+/// The p99 keys the gate compares, per scenario.
+constexpr const char* kGateKeys[] = {"offload_to_ack_p99_s", "record_to_raise_p99_s"};
+
+/// What the baseline file says for this run. It is read before any
+/// scenario runs, so a malformed value stops the run at once (exit 1).
+struct Baseline {
+  bool gates = false;  ///< the file exists and records this (seed, days)
+  std::map<std::string, double> p99;  ///< "<scenario>/<gate key>" -> seconds
+};
+
+Baseline read_baseline(const std::string& path, std::uint64_t seed, int days) {
+  Baseline out;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::printf("# no baseline at %s; run with --write-baseline to create one\n", path.c_str());
+    return out;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string baseline = text.str();
+  double base_seed = -1.0;
+  double base_days = -1.0;
+  if (!find_number(baseline, "seed", 0, base_seed, path) ||
+      !find_number(baseline, "days", 0, base_days, path) ||
+      base_seed != static_cast<double>(seed) || base_days != static_cast<double>(days)) {
+    std::printf("# baseline %s is for seed %.0f / %.0f day(s); not gating this run\n",
+                path.c_str(), base_seed, base_days);
+    return out;
+  }
+  out.gates = true;
+  for (const char* name : kScenarios) {
+    const std::size_t at = baseline.find("\"name\": \"" + std::string(name) + "\"");
+    if (at == std::string::npos) {
+      std::printf("# baseline has no scenario %s; not gating it\n", name);
+      continue;
+    }
+    for (const char* key : kGateKeys) {
+      double base = 0.0;
+      if (find_number(baseline, key, at, base, path)) out.p99[std::string(name) + "/" + key] = base;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -199,6 +244,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "latency_paths: days must be >= 1\n");
     return 1;
   }
+
+  const Baseline baseline = write_baseline ? Baseline{} : read_baseline(baseline_path, seed, days);
 
   // At least 4 workers even on small machines, so the serial-vs-parallel
   // byte check always exercises a real thread pool.
@@ -278,41 +325,20 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::ifstream in(baseline_path, std::ios::binary);
-  if (!in) {
-    std::printf("# no baseline at %s; run with --write-baseline to create one\n",
-                baseline_path.c_str());
-    return 0;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  const std::string baseline = text.str();
-  double base_seed = -1.0;
-  double base_days = -1.0;
-  if (!find_number(baseline, "seed", 0, base_seed) ||
-      !find_number(baseline, "days", 0, base_days) ||
-      base_seed != static_cast<double>(seed) || base_days != static_cast<double>(days)) {
-    std::printf("# baseline %s is for seed %.0f / %.0f day(s); not gating this run\n",
-                baseline_path.c_str(), base_seed, base_days);
-    return 0;
-  }
+  if (!baseline.gates) return 0;
   int status = 0;
   for (const ScenarioStats& s : stats) {
-    const std::size_t at = baseline.find("\"name\": \"" + s.name + "\"");
-    if (at == std::string::npos) {
-      std::printf("# baseline has no scenario %s; not gating it\n", s.name.c_str());
-      continue;
-    }
     const struct {
       const char* key;
       double current;
     } gates[] = {
-        {"offload_to_ack_p99_s", s.offload_p99},
-        {"record_to_raise_p99_s", s.record_p99},
+        {kGateKeys[0], s.offload_p99},
+        {kGateKeys[1], s.record_p99},
     };
     for (const auto& gate : gates) {
-      double base = 0.0;
-      if (!find_number(baseline, gate.key, at, base)) continue;
+      const auto it = baseline.p99.find(s.name + "/" + gate.key);
+      if (it == baseline.p99.end()) continue;
+      const double base = it->second;
       if (base > 0.0 && gate.current > base * kGateFactor) {
         std::fprintf(stderr, "latency_paths: %s %s regressed: %.3fs vs baseline %.3fs (>10%%)\n",
                      s.name.c_str(), gate.key, gate.current, base);

@@ -13,7 +13,8 @@
 //     and the metrics/trace dumps must be equal serial vs parallel; any
 //     difference exits 1. When BENCH_pipeline.json (read from the working
 //     directory) holds a mission baseline for this seed, serial
-//     records/sec more than 25 % below it exits 2. scripts/ci.sh runs
+//     records/sec more than 25 % below it exits 2; a baseline value that
+//     is not a number exits 1 before the mission runs. scripts/ci.sh runs
 //     this mode per push.
 //
 //   perf_pipeline --large [records] [reps] [seed]
@@ -256,26 +257,33 @@ int run_large(std::size_t records, int reps, std::uint64_t seed) {
   return same ? 0 : 1;
 }
 
-/// Gate serial records/sec against the mission baseline for `seed`.
-/// Returns 2 on a regression past the floor, 0 otherwise (including when
-/// there is no baseline for this seed).
-int gate_on_baseline(std::uint64_t seed, double serial_rate) {
+/// The serial records/sec the mission baseline records for `seed`, or 0
+/// when there is none. Read before the mission runs; exits 1 when a
+/// value in the file is malformed.
+double baseline_rate(std::uint64_t seed) {
   std::ifstream in(kBaselinePath, std::ios::binary);
   if (!in) {
     std::printf("  no %s in the working directory; not gating\n", kBaselinePath);
-    return 0;
+    return 0.0;
   }
   std::ostringstream text;
   text << in.rdbuf();
   double base_seed = -1.0;
   double base_rate = 0.0;
-  if (!hs::bench::find_number(text.str(), "seed", 0, base_seed) ||
-      !hs::bench::find_number(text.str(), "serial_records_per_s", 0, base_rate) ||
+  if (!hs::bench::find_number(text.str(), "seed", 0, base_seed, kBaselinePath) ||
+      !hs::bench::find_number(text.str(), "serial_records_per_s", 0, base_rate, kBaselinePath) ||
       base_seed != static_cast<double>(seed) || base_rate <= 0.0) {
     std::printf("  %s has no mission baseline for seed %llu; not gating\n", kBaselinePath,
                 static_cast<unsigned long long>(seed));
-    return 0;
+    return 0.0;
   }
+  return base_rate;
+}
+
+/// Gate serial records/sec against the baseline rate. Returns 2 on a
+/// regression past the floor, 0 otherwise (including when base_rate is 0).
+int gate_on_baseline(double base_rate, double serial_rate) {
+  if (base_rate <= 0.0) return 0;
   const double ratio = serial_rate / base_rate;
   std::printf("  serial vs %s: %.0f records/s baseline, %.2fx (floor %.2fx)\n", kBaselinePath,
               base_rate, ratio, kGateFloor);
@@ -298,6 +306,7 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t seed = hs::bench::seed_from_args(argc, argv);
+  const double base_rate = baseline_rate(seed);
   const auto data = hs::bench::run_mission(argc, argv);
   const unsigned threads =
       argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 4;
@@ -328,5 +337,5 @@ int main(int argc, char** argv) {
   if (serial.metrics_csv != par.metrics_csv) report_diff(serial.metrics_csv, par.metrics_csv);
   if (serial.trace_csv != par.trace_csv) report_diff(serial.trace_csv, par.trace_csv);
   if (!diffs.empty() || !dumps) return 1;
-  return gate_on_baseline(seed, serial_rate);
+  return gate_on_baseline(base_rate, serial_rate);
 }

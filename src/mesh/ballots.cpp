@@ -50,7 +50,9 @@ std::vector<BallotTally> tally_ballots(const std::map<ChunkKey, const MeshChunk*
 
 std::vector<BallotTally> tally_ballots_at(const MeshNetwork& mesh, NodeId node, SimTime now) {
   std::map<ChunkKey, const MeshChunk*> store;
-  for (const auto& [key, chunk] : mesh.nodes().at(node).store()) store.emplace(key, &chunk);
+  mesh.nodes().at(node).for_each_chunk([&store](const MeshChunk& chunk) {
+    store.emplace_hint(store.end(), chunk.key, &chunk);  // (origin, seq) order
+  });
   return tally_ballots(store, now);
 }
 

@@ -1,5 +1,7 @@
 #include "mesh/gossip.hpp"
 
+#include <algorithm>
+
 namespace hs::mesh {
 namespace {
 
@@ -12,22 +14,49 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// std::upper_bound's order for a value against the runs: the value sorts
+/// before every run that starts past it.
+bool starts_past(std::uint32_t v, const SeqSet::Run& run) { return v < run.lo; }
+
 }  // namespace
 
 bool SeqSet::insert(std::uint32_t seq) {
-  if (contains(seq)) return false;
+  if (seq < next_) return false;
+  // The first run starting past seq; only the run before it can hold seq.
+  const auto after = std::upper_bound(runs_.begin(), runs_.end(), seq, starts_past);
+  Run* before = after == runs_.begin() ? nullptr : &*std::prev(after);
+  if (before != nullptr && seq < before->hi) return false;
   if (seq == next_) {
     ++next_;
-    // Absorb any extras the new prefix now reaches.
-    auto it = extras_.begin();
-    while (it != extras_.end() && *it == next_) {
-      it = extras_.erase(it);
-      ++next_;
+    // Absorb the first run if the new prefix now reaches it. Runs are
+    // never adjacent, so no second run can follow it in.
+    if (!runs_.empty() && runs_.front().lo == next_) {
+      extra_count_ -= runs_.front().hi - runs_.front().lo;
+      next_ = runs_.front().hi;
+      runs_.erase(runs_.begin());
     }
+    return true;
+  }
+  ++extra_count_;
+  const bool extends_before = before != nullptr && before->hi == seq;
+  const bool extends_after = after != runs_.end() && after->lo == seq + 1;
+  if (extends_before && extends_after) {  // seq bridges two runs
+    before->hi = after->hi;
+    runs_.erase(after);
+  } else if (extends_before) {
+    ++before->hi;
+  } else if (extends_after) {
+    --after->lo;
   } else {
-    extras_.insert(seq);
+    runs_.insert(after, Run{seq, seq + 1});
   }
   return true;
+}
+
+bool SeqSet::contains(std::uint32_t seq) const {
+  if (seq < next_) return true;
+  const auto after = std::upper_bound(runs_.begin(), runs_.end(), seq, starts_past);
+  return after != runs_.begin() && seq < std::prev(after)->hi;
 }
 
 std::size_t SeqSet::merge(const SeqSet& other) {
@@ -40,12 +69,22 @@ std::size_t SeqSet::merge(const SeqSet& other) {
 
 std::vector<std::uint32_t> SeqSet::missing_from(const SeqSet& other) const {
   std::vector<std::uint32_t> out;
-  for (std::uint32_t s = other.next(); s < next_; ++s) {
-    if (!other.contains(s)) out.push_back(s);
-  }
-  for (std::uint32_t e : extras_) {
-    if (e >= next_ && !other.contains(e)) out.push_back(e);
-  }
+  if (other.next_ >= limit()) return out;  // the peer's prefix covers all of this set
+  auto theirs = other.runs_.begin();
+  // Append [lo, hi) minus `other`. The ranges come in ascending order, so
+  // `theirs` only moves forward: one merge pass over both run lists.
+  const auto append_missing = [&](std::uint32_t lo, std::uint32_t hi) {
+    lo = std::max(lo, other.next_);
+    while (lo < hi) {
+      while (theirs != other.runs_.end() && theirs->hi <= lo) ++theirs;
+      const std::uint32_t gap_end = theirs == other.runs_.end() ? hi : std::min(hi, theirs->lo);
+      for (; lo < gap_end; ++lo) out.push_back(lo);
+      if (theirs == other.runs_.end()) break;
+      lo = theirs->hi;
+    }
+  };
+  append_missing(0, next_);
+  for (const Run& run : runs_) append_missing(run.lo, run.hi);
   return out;
 }
 

@@ -115,7 +115,7 @@ void MeshNetwork::offload(const badge::Badge& badge, SimTime now) {
   if (metrics_.offload_bytes) metrics_.offload_bytes->inc(wire);
   if (metrics_.chunk_wire_bytes) metrics_.chunk_wire_bytes->observe(static_cast<double>(wire));
   vitals_index_[badge.id()].push_back(VitalsEntry{now, key, vitals});
-  auto& trace = traces_[key];
+  auto& trace = trace_slot(key);
   trace.offloaded_at = now;
   if (tracer_) {
     // Root the chunk's trace: the badge-side slice, then the mesh-side
@@ -154,24 +154,26 @@ void MeshNetwork::run_round(SimTime now) {
 void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
   ++stats_.exchanges;
   if (metrics_.exchanges) metrics_.exchanges->inc();
-  for (const MeshNode* side : {&a, &b}) {
-    for (const auto& [origin, held] : side->version_vector()) {
-      (void)origin;
-      const auto bytes = static_cast<std::int64_t>(2 + held.digest_bytes());
-      stats_.digest_bytes += bytes;
-      if (metrics_.digest_bytes) metrics_.digest_bytes->inc(static_cast<std::uint64_t>(bytes));
-    }
-  }
+  // Both sides send their whole digest; each node keeps its size as a
+  // running total (2 bytes of origin id plus the SeqSet's bytes, per origin).
+  const std::int64_t bytes = a.digest_bytes() + b.digest_bytes();
+  stats_.digest_bytes += bytes;
+  if (metrics_.digest_bytes) metrics_.digest_bytes->inc(static_cast<std::uint64_t>(bytes));
 
   const auto pull = [this, now](const MeshNode& src, MeshNode& dst) {
     const std::size_t n = nodes_.size();
-    for (const auto& [origin, held] : src.version_vector()) {
-      const auto it = dst.version_vector().find(origin);
-      const SeqSet& mine = it == dst.version_vector().end() ? kEmptySeqSet : it->second;
+    const VersionVector& theirs = src.version_vector();
+    for (std::size_t i = 0; i < theirs.size(); ++i) {
+      const auto& [origin, held] = theirs[i];
+      const std::size_t j = dst.origin_index(origin);
+      const SeqSet& mine = j < dst.version_vector().size() ? dst.version_vector()[j].second
+                                                            : kEmptySeqSet;
+      const std::vector<MeshChunk>& chunks = src.chunks_at(i);
       for (const std::uint32_t seq : held.missing_from(mine)) {
+        // An empty slot: src knows of the chunk but declined the copy.
+        if (seq >= chunks.size() || chunks[seq].payload == nullptr) continue;
         const ChunkKey key{origin, seq};
-        const MeshChunk* chunk = src.find(key);
-        if (chunk == nullptr) continue;  // src knows of it but declined the copy
+        const MeshChunk* chunk = &chunks[seq];
         if (config_.cap_replicas && chunk->kind == ChunkKind::kRecords &&
             !is_home(key, dst.id(), config_.replication_factor, n)) {
           dst.decline(key);
@@ -187,7 +189,7 @@ void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
             // steady-state anti-entropy after it stays in the counters
             // (tens of copies per chunk would drown every dump). The span
             // links (via kernel context) to the gossip round that ran it.
-            const auto& trace = traces_[key];
+            const auto& trace = trace_slot(key);
             if (trace.replicated_at < 0) {
               tracer_->emit(tracer_->chunk_trace(key.origin, key.seq),
                             obs::SpanKind::kChunkReplicate, obs::Subsys::kMesh, now, now,
@@ -204,8 +206,15 @@ void MeshNetwork::exchange(MeshNode& a, MeshNode& b, SimTime now) {
   pull(b, a);
 }
 
+ChunkTrace& MeshNetwork::trace_slot(ChunkKey key) {
+  if (traces_.size() <= key.origin) traces_.resize(key.origin + std::size_t{1});
+  auto& per_origin = traces_[key.origin];
+  if (per_origin.size() <= key.seq) per_origin.resize(key.seq + std::size_t{1});
+  return per_origin[key.seq];
+}
+
 void MeshNetwork::note_stored(ChunkKey key, SimTime now) {
-  auto& trace = traces_[key];
+  auto& trace = trace_slot(key);
   ++trace.replicas;
   if (trace.replicated_at < 0 &&
       trace.replicas >= static_cast<std::size_t>(config_.replication_factor)) {
@@ -251,11 +260,10 @@ void MeshNetwork::set_node_down(NodeId id, bool down) {
   if (down == node.down()) return;
   if (down) {
     // The store is about to be wiped: those replicas no longer exist.
-    for (const auto& [key, chunk] : node.store()) {
-      (void)chunk;
-      auto it = traces_.find(key);
-      if (it != traces_.end() && it->second.replicas > 0) --it->second.replicas;
-    }
+    node.for_each_chunk([this](const MeshChunk& chunk) {
+      auto& trace = trace_slot(chunk.key);
+      if (trace.replicas > 0) --trace.replicas;
+    });
   }
   node.set_down(down);
 }
@@ -289,7 +297,7 @@ std::optional<ChunkKey> MeshNetwork::publish(NodeId at_node, ChunkKind kind,
   if (node.down()) return std::nullopt;
   const ChunkKey key{node_origin(at_node), control_seq_[at_node]++};
   node.insert(make_chunk(key, kind, now, std::move(payload)));
-  auto& trace = traces_[key];
+  auto& trace = trace_slot(key);
   trace.offloaded_at = now;
   if (tracer_) {
     // Control items root their trace at the publish. When the publish
@@ -320,10 +328,37 @@ std::optional<ChunkKey> MeshNetwork::publish_vote(NodeId at_node, const VoteItem
 }
 
 std::map<ChunkKey, const MeshChunk*> MeshNetwork::merged_store() const {
-  std::map<ChunkKey, const MeshChunk*> merged;
+  // Origin by origin, seq by seq, so every key lands at the map's end.
+  // Each key maps to its copy on the lowest-id live node holding it.
+  std::vector<OriginId> origins;
   for (const auto& node : nodes_) {
     if (node.down()) continue;
-    for (const auto& [key, chunk] : node.store()) merged.emplace(key, &chunk);
+    for (const auto& [origin, seqs] : node.version_vector()) origins.push_back(origin);
+  }
+  std::sort(origins.begin(), origins.end());
+  origins.erase(std::unique(origins.begin(), origins.end()), origins.end());
+
+  std::map<ChunkKey, const MeshChunk*> merged;
+  std::vector<const std::vector<MeshChunk>*> holders;  // live nodes' chunks of one origin
+  for (const OriginId origin : origins) {
+    holders.clear();
+    std::size_t seq_end = 0;
+    for (const auto& node : nodes_) {
+      if (node.down()) continue;
+      const std::size_t i = node.origin_index(origin);
+      if (i == node.version_vector().size()) continue;
+      holders.push_back(&node.chunks_at(i));
+      seq_end = std::max(seq_end, node.chunks_at(i).size());
+    }
+    for (std::size_t seq = 0; seq < seq_end; ++seq) {
+      for (const auto* chunks : holders) {
+        if (seq < chunks->size() && (*chunks)[seq].payload != nullptr) {
+          merged.emplace_hint(merged.end(), ChunkKey{origin, static_cast<std::uint32_t>(seq)},
+                              &(*chunks)[seq]);
+          break;
+        }
+      }
+    }
   }
   return merged;
 }
@@ -345,7 +380,7 @@ bool MeshNetwork::converged() const {
 
 std::vector<ChunkKey> MeshNetwork::acked_keys() const {
   std::vector<ChunkKey> keys;
-  for (const auto& [key, trace] : traces_) {
+  for (const auto& [key, trace] : traces()) {
     if (trace.replicated_at >= 0) keys.push_back(key);
   }
   return keys;

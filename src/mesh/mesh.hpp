@@ -13,8 +13,10 @@
 // protocol, invariants and tuning knobs.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "badge/network.hpp"
@@ -71,6 +73,55 @@ struct ChunkTrace {
   obs::SpanId offload_span = 0;
 };
 
+/// Every chunk's trace as (key, trace) pairs in (origin, seq) order: a
+/// view over MeshNetwork's per-origin trace vectors.
+class TraceView {
+ public:
+  using Traces = std::vector<std::vector<ChunkTrace>>;  ///< [origin][seq]
+
+  class iterator {
+   public:
+    using value_type = std::pair<ChunkKey, const ChunkTrace&>;
+
+    iterator(const Traces* traces, std::size_t origin) : traces_(traces), origin_(origin) {
+      skip_empty();
+    }
+    value_type operator*() const {
+      return {ChunkKey{static_cast<OriginId>(origin_), seq_}, (*traces_)[origin_][seq_]};
+    }
+    iterator& operator++() {
+      if (++seq_ == (*traces_)[origin_].size()) {
+        seq_ = 0;
+        ++origin_;
+        skip_empty();
+      }
+      return *this;
+    }
+    friend bool operator==(const iterator&, const iterator&) = default;
+
+   private:
+    void skip_empty() {
+      while (origin_ < traces_->size() && (*traces_)[origin_].empty()) ++origin_;
+    }
+
+    const Traces* traces_;
+    std::size_t origin_;
+    std::uint32_t seq_ = 0;
+  };
+
+  explicit TraceView(const Traces& traces) : traces_(&traces) {}
+  [[nodiscard]] iterator begin() const { return {traces_, 0}; }
+  [[nodiscard]] iterator end() const { return {traces_, traces_->size()}; }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& per_origin : *traces_) n += per_origin.size();
+    return n;
+  }
+
+ private:
+  const Traces* traces_;
+};
+
 class MeshNetwork {
  public:
   /// One node per beacon (same id, position, room) plus the base-station
@@ -119,7 +170,12 @@ class MeshNetwork {
   [[nodiscard]] const MeshConfig& config() const { return config_; }
   [[nodiscard]] const GossipStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t round() const { return round_; }
-  [[nodiscard]] const std::map<ChunkKey, ChunkTrace>& traces() const { return traces_; }
+  [[nodiscard]] TraceView traces() const { return TraceView(traces_); }
+  /// The trace of `key`, or null for a key never offloaded or published.
+  [[nodiscard]] const ChunkTrace* trace(ChunkKey key) const {
+    if (key.origin >= traces_.size() || key.seq >= traces_[key.origin].size()) return nullptr;
+    return &traces_[key.origin][key.seq];
+  }
 
   /// The incremental newest-chunk index: per badge, every record chunk's
   /// offload vitals in seq order. Maintained by offload()/flush(); the
@@ -132,11 +188,13 @@ class MeshNetwork {
   /// dark — the chunk is gone until anti-entropy re-heals nothing, i.e.
   /// the data is lost and the index must fall back to an older entry).
   [[nodiscard]] std::size_t live_replicas(ChunkKey key) const {
-    const auto it = traces_.find(key);
-    return it == traces_.end() ? 0 : it->second.replicas;
+    const ChunkTrace* t = trace(key);
+    return t == nullptr ? 0 : t->replicas;
   }
 
-  /// Union of every live node's store (the mesh read view's input).
+  /// Union of every live node's store (the mesh read view's input): each
+  /// key maps to its copy on the lowest-id live node holding it. The
+  /// pointers are valid until a node's store next changes.
   [[nodiscard]] std::map<ChunkKey, const MeshChunk*> merged_store() const;
   /// All live nodes hold byte-identical stores (full-replication mode).
   [[nodiscard]] bool converged() const;
@@ -173,6 +231,10 @@ class MeshNetwork {
   void exchange(MeshNode& a, MeshNode& b, SimTime now);
   /// Replica-count bookkeeping after a successful store (ack tracking).
   void note_stored(ChunkKey key, SimTime now);
+  /// The trace of `key`, created when new. Sequence numbers are dense per
+  /// origin (offload and publish hand them out in order), and a chunk
+  /// reaches a store only after its offload or publish created its trace.
+  ChunkTrace& trace_slot(ChunkKey key);
   std::optional<ChunkKey> publish(NodeId at_node, ChunkKind kind,
                                   std::vector<std::uint8_t> payload, SimTime now);
 
@@ -188,7 +250,7 @@ class MeshNetwork {
   std::map<io::BadgeId, BadgeCursor> cursors_;
   std::map<io::BadgeId, std::vector<VitalsEntry>> vitals_index_;
   std::map<NodeId, std::uint32_t> control_seq_;
-  std::map<ChunkKey, ChunkTrace> traces_;
+  TraceView::Traces traces_;  ///< [origin][seq]
   GossipStats stats_;
   std::uint64_t round_ = 0;
 

@@ -7,9 +7,14 @@
 // replicas and is re-healed by anti-entropy when it returns. Durability
 // therefore comes from replication, never from any single node — exactly
 // the paper's argument against the centralized sink.
+//
+// The store is flat: per origin, a seq-indexed vector of chunks kept
+// next to that origin's SeqSet in the version vector, so gossip reads a
+// missing chunk by index and walks the store in (origin, seq) order.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <vector>
 
 #include "habitat/habitat.hpp"
 #include "mesh/chunk.hpp"
@@ -37,18 +42,34 @@ class MeshNode {
   /// mode: a non-home node declines the payload, and marking it in the
   /// version vector keeps anti-entropy from re-offering it every round).
   void decline(ChunkKey key) {
-    if (!down_) vv_[key.origin].insert(key.seq);
+    if (!down_) (void)note(origin_slot(key.origin), key.seq);
   }
 
-  [[nodiscard]] bool has(ChunkKey key) const { return store_.count(key) > 0; }
-  [[nodiscard]] const MeshChunk* find(ChunkKey key) const {
-    const auto it = store_.find(key);
-    return it == store_.end() ? nullptr : &it->second;
+  [[nodiscard]] bool has(ChunkKey key) const { return find(key) != nullptr; }
+  /// The stored chunk, or null. Like every pointer or reference into the
+  /// store, valid until this node next stores a chunk or goes down.
+  [[nodiscard]] const MeshChunk* find(ChunkKey key) const;
+  /// Visit every stored chunk in (origin, seq) order.
+  template <class Visit>
+  void for_each_chunk(Visit&& visit) const {
+    for (const auto& chunks : chunks_) {
+      for (const MeshChunk& chunk : chunks) {
+        if (chunk.payload != nullptr) visit(chunk);
+      }
+    }
   }
-  [[nodiscard]] const std::map<ChunkKey, MeshChunk>& store() const { return store_; }
   [[nodiscard]] const VersionVector& version_vector() const { return vv_; }
-  [[nodiscard]] std::size_t chunk_count() const { return store_.size(); }
+  /// Position of `origin` in version_vector(), or version_vector().size()
+  /// when this node knows no chunk of it.
+  [[nodiscard]] std::size_t origin_index(OriginId origin) const;
+  /// The chunks of version_vector()[i]'s origin, indexed by seq. A slot
+  /// without a payload is not held here (never received, or declined).
+  [[nodiscard]] const std::vector<MeshChunk>& chunks_at(std::size_t i) const { return chunks_[i]; }
+  [[nodiscard]] std::size_t chunk_count() const { return chunk_count_; }
   [[nodiscard]] std::int64_t stored_bytes() const { return stored_bytes_; }
+  /// Wire size of this node's whole digest: per origin, a 2-byte origin
+  /// id plus SeqSet::digest_bytes(). Kept as a running total.
+  [[nodiscard]] std::int64_t digest_bytes() const { return digest_bytes_; }
 
   /// Order-sensitive digest over (key, checksum): two nodes with equal
   /// digests hold byte-identical stores.
@@ -60,13 +81,21 @@ class MeshNode {
   [[nodiscard]] bool down() const { return down_; }
 
  private:
+  /// Index of `origin` in vv_ and chunks_, adding an empty entry if new.
+  std::size_t origin_slot(OriginId origin);
+  /// Add `seq` to entry i's SeqSet, keeping the digest total; false when
+  /// it is already known.
+  bool note(std::size_t i, std::uint32_t seq);
+
   NodeId id_;
   Vec2 position_;
   habitat::RoomId room_;
   bool down_ = false;
-  std::map<ChunkKey, MeshChunk> store_;
   VersionVector vv_;
+  std::vector<std::vector<MeshChunk>> chunks_;  ///< parallel to vv_
+  std::size_t chunk_count_ = 0;
   std::int64_t stored_bytes_ = 0;
+  std::int64_t digest_bytes_ = 0;
 };
 
 }  // namespace hs::mesh

@@ -29,8 +29,8 @@ std::map<io::BadgeId, badge::SdCard> MeshReadView::rebuild_cards() const {
     v.on_sync_sample = [&](const io::SyncSample& r) { card.log(r), ++replayed; };
     (void)io::replay_binlog(binlog, v);
     if (tracer_ != nullptr) {
-      const auto tit = mesh_->traces().find(key);
-      const obs::SpanId parent = tit == mesh_->traces().end() ? 0 : tit->second.offload_span;
+      const ChunkTrace* trace = mesh_->trace(key);
+      const obs::SpanId parent = trace == nullptr ? 0 : trace->offload_span;
       tracer_->emit(tracer_->chunk_trace(key.origin, key.seq), obs::SpanKind::kChunkRead,
                     obs::Subsys::kMesh, now_, now_, parent,
                     static_cast<std::int64_t>(key.origin), static_cast<std::int64_t>(key.seq),
@@ -96,12 +96,11 @@ std::vector<support::Alert> MeshReadView::alerts() const {
 
 std::vector<support::Alert> MeshReadView::alerts_at(NodeId node) const {
   std::vector<support::Alert> out;
-  for (const auto& [key, chunk] : mesh_->nodes().at(node).store()) {
-    (void)key;
-    if (chunk.kind != ChunkKind::kAlert) continue;
+  mesh_->nodes().at(node).for_each_chunk([&out](const MeshChunk& chunk) {
+    if (chunk.kind != ChunkKind::kAlert) return;
     support::Alert alert;
     if (decode_alert(chunk.payload->bytes, alert)) out.push_back(std::move(alert));
-  }
+  });
   return out;
 }
 

@@ -44,9 +44,7 @@ const char* event_name(EventCode code) {
   return "?";
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  ring_.resize(capacity == 0 ? 1 : capacity);
-}
+FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::vector<FlightEvent> FlightRecorder::events() const {
   std::vector<FlightEvent> out;
@@ -54,7 +52,7 @@ std::vector<FlightEvent> FlightRecorder::events() const {
   out.reserve(n);
   const std::uint64_t first = total_ - n;
   for (std::uint64_t i = first; i < total_; ++i) {
-    out.push_back(ring_[static_cast<std::size_t>(i % ring_.size())]);
+    out.push_back(ring_[static_cast<std::size_t>(i % capacity_)]);
   }
   return out;
 }
@@ -72,7 +70,7 @@ std::size_t FlightRecorder::count(EventCode code) const {
   const std::size_t held = size();
   const std::uint64_t first = total_ - held;
   for (std::uint64_t i = first; i < total_; ++i) {
-    if (ring_[static_cast<std::size_t>(i % ring_.size())].code == code) ++n;
+    if (ring_[static_cast<std::size_t>(i % capacity_)].code == code) ++n;
   }
   return n;
 }

@@ -3,10 +3,11 @@
 // A bounded ring buffer of structured, sim-time-stamped events — the
 // on-board "what just happened" log an autonomous habitat can consult
 // without Earth in the loop, and the substrate tests assert against
-// (e.g. "every armed fault spec left an arming event"). Storage is
-// pre-allocated at construction; record() is an index increment and a
-// struct store, never an allocation. The recorder keeps the most recent
-// `capacity` events and counts what it overwrote.
+// (e.g. "every armed fault spec left an arming event"). The ring grows on
+// demand up to `capacity` events (a mission that records a handful pays
+// for a handful), then record() overwrites the oldest: an index increment
+// and a struct store, never an allocation. The recorder keeps the most
+// recent `capacity` events and counts what it overwrote.
 //
 // Only rare, meaningful transitions belong here (fault lifecycle, alerts,
 // offload deferrals) — per-record or per-round traffic goes in counters,
@@ -65,18 +66,21 @@ class FlightRecorder {
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
   void record(SimTime t, Subsys subsys, EventCode code, std::int64_t a = 0, std::int64_t b = 0) {
-    if (total_ >= ring_.size() && dropped_counter_ != nullptr) dropped_counter_->inc();
-    ring_[static_cast<std::size_t>(total_ % ring_.size())] = FlightEvent{t, subsys, code, a, b};
+    const FlightEvent event{t, subsys, code, a, b};
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
+    } else {
+      if (dropped_counter_ != nullptr) dropped_counter_->inc();
+      ring_[static_cast<std::size_t>(total_ % capacity_)] = event;
+    }
     ++total_;
   }
 
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events recorded over the recorder's lifetime, including overwritten.
   [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
   /// Events currently held (== min(total_recorded, capacity)).
-  [[nodiscard]] std::size_t size() const {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// Events lost to wraparound.
   [[nodiscard]] std::uint64_t dropped() const { return total_ - size(); }
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped(); }
@@ -96,6 +100,9 @@ class FlightRecorder {
   [[nodiscard]] std::string to_csv() const;
 
  private:
+  std::size_t capacity_;
+  /// Grows by push_back until it holds capacity_ events; event i of the
+  /// lifetime then lives at i % capacity_.
   std::vector<FlightEvent> ring_;
   std::uint64_t total_ = 0;
   Counter* dropped_counter_ = nullptr;

@@ -356,7 +356,8 @@ TEST_F(MeshMissionTest, AckedMeansReplicationFactorReplicas) {
   EXPECT_GT(acked.size(), 0u);
   const auto k = static_cast<std::size_t>(mesh->config().replication_factor);
   for (const auto& key : acked) {
-    EXPECT_GE(mesh->traces().at(key).replicas, k);
+    ASSERT_NE(mesh->trace(key), nullptr);
+    EXPECT_GE(mesh->trace(key)->replicas, k);
   }
 }
 

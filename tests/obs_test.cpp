@@ -87,6 +87,10 @@ TEST(HistogramTest, SingleBoundSplitsUnderAndOverflow) {
 
 TEST(FlightRecorderTest, RecordsInOrderBelowCapacity) {
   FlightRecorder rec(8);
+  // The ring grows on demand; capacity() is its bound, not what it holds.
+  EXPECT_EQ(rec.capacity(), 8U);
+  EXPECT_EQ(rec.size(), 0U);
+  EXPECT_TRUE(rec.events().empty());
   rec.record(100, Subsys::kFaults, EventCode::kFaultArmed, 0, 1);
   rec.record(200, Subsys::kSupport, EventCode::kAlertRaised, 2, -1);
   EXPECT_EQ(rec.size(), 2U);
