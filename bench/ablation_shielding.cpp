@@ -8,12 +8,11 @@
 // save the transition counts.
 #include <cstdio>
 
-#include "core/analysis.hpp"
-#include "core/runner.hpp"
+#include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   using namespace hs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  const std::uint64_t seed = bench::seed_from_args(argc, argv);
   std::printf("# Shielding ablation, seed %llu (3 mission days per variant)\n",
               static_cast<unsigned long long>(seed));
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -22,8 +23,28 @@
 
 namespace hs::bench {
 
+/// argv[i] read strictly (hs::parse_number): exactly one number of T's
+/// type, in [min, max]. Anything else stops the process with status 1 and
+/// a message naming the argument; harnesses read their arguments before
+/// any mission runs or any baseline is read.
+template <typename T>
+T parse_arg(char** argv, int i, const char* name, T min, T max = std::numeric_limits<T>::max()) {
+  T value{};
+  if (!parse_number(argv[i], value) || value < min || value > max) {
+    const std::string_view path(argv[0]);
+    const std::string prog(path.substr(path.find_last_of('/') + 1));
+    const std::string range = max == std::numeric_limits<T>::max()
+                                  ? ">= " + std::to_string(min)
+                                  : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    std::fprintf(stderr, "%s: %s wants an integer %s, got '%s'\n", prog.c_str(), name,
+                 range.c_str(), argv[i]);
+    std::exit(1);
+  }
+  return value;
+}
+
 inline std::uint64_t seed_from_args(int argc, char** argv) {
-  return argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  return argc > 1 ? parse_arg<std::uint64_t>(argv, 1, "seed", 0) : 42;
 }
 
 inline core::Dataset run_mission(int argc, char** argv) {

@@ -17,10 +17,12 @@
 // (obs::TraceIndex): for every raised alert with recorded evidence it
 // measures record -> raise latency — how long the support system took to
 // notice what the cascade did to the sensor fleet.
+//
+// Every argument is one whole number (hs::parse_number); a malformed or
+// out-of-range one exits 1, naming it, before any campaign runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -47,13 +49,9 @@ double gauge_value(const obs::MetricsSnapshot& snap, const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int habitats = argc > 1 ? std::atoi(argv[1]) : 16;
-  const int days = argc > 2 ? std::atoi(argv[2]) : 8;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
-  if (habitats < 1 || days < 1) {
-    std::fprintf(stderr, "usage: cascade_storm [habitats>=1] [days>=1] [seed]\n");
-    return 1;
-  }
+  const int habitats = argc > 1 ? bench::parse_arg(argv, 1, "habitats", 1) : 16;
+  const int days = argc > 2 ? bench::parse_arg(argv, 2, "days", 1) : 8;
+  const std::uint64_t seed = argc > 3 ? bench::parse_arg<std::uint64_t>(argv, 3, "seed", 0) : 42;
 
   fleet::CampaignSpec spec;
   spec.name = "cascade-storm";

@@ -10,10 +10,11 @@
 
 int main(int argc, char** argv) {
   using namespace hs;
+  const std::size_t astronaut =
+      argc > 2 ? bench::parse_arg<std::uint64_t>(argv, 2, "astronaut", 0, crew::kCrewSize - 1) : 0;
   const core::Dataset data = bench::run_mission(argc, argv);
   core::AnalysisPipeline pipeline(data);
 
-  const std::size_t astronaut = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 0;
   std::printf("\nFig. 3 — dwell-time heatmap of astronaut %c (28 cm cells, log scale):\n\n",
               crew::astronaut_letter(astronaut));
   const auto heat = pipeline.fig3_heatmap(astronaut);

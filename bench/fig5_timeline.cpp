@@ -11,10 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace hs;
+  const int day =
+      argc > 2 ? bench::parse_arg(argv, 2, "day", 1, crew::MissionScript{}.mission_days) : 4;
   const core::Dataset data = bench::run_mission(argc, argv);
   core::AnalysisPipeline pipeline(data);
 
-  const int day = argc > 2 ? std::atoi(argv[2]) : 4;
   const auto timeline = pipeline.fig5_timeline(day, 10);
 
   std::printf("\nFig. 5 — day %d location + speech timeline (10-min bins, 08:00-22:00)\n", day);

@@ -21,13 +21,13 @@
 // the record anchor inside the alert's own trace).
 //
 // Exit status: 0 ok; 1 on dump divergence, sampled-latency divergence,
-// usage errors, or a baseline value that is not a number (checked before
+// usage errors, a seed or day count that is not one whole number in
+// range, or a baseline value that is not a number (all checked before
 // any scenario runs); 2 when any p99 exceeds the checked-in baseline
 // (BENCH_latency.json) by more than 10 %. The baseline only gates when
 // its (seed, days) match the run. --write-baseline regenerates it.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -229,20 +229,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (positional == 0) {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      seed = bench::parse_arg<std::uint64_t>(argv, i, "seed", 0);
       ++positional;
     } else if (positional == 1) {
-      days = std::atoi(argv[i]);
+      days = bench::parse_arg(argv, i, "days", 1);
       ++positional;
     } else {
       std::fprintf(stderr,
                    "usage: latency_paths [seed] [days>=1] [--baseline PATH] [--write-baseline]\n");
       return 1;
     }
-  }
-  if (days < 1) {
-    std::fprintf(stderr, "latency_paths: days must be >= 1\n");
-    return 1;
   }
 
   const Baseline baseline = write_baseline ? Baseline{} : read_baseline(baseline_path, seed, days);

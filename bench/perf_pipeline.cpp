@@ -17,6 +17,10 @@
 //     is not a number exits 1 before the mission runs. scripts/ci.sh runs
 //     this mode per push.
 //
+//   Every number on the command line is one whole token (hs::parse_number)
+//   and reps is at least 1; anything else exits 1, naming the argument,
+//   before any mission runs or baseline is read.
+//
 //   perf_pipeline --large [records] [reps] [seed]
 //     Builds a synthetic dataset of ~`records` records (default one
 //     million: 6 badges x 13 instrumented days x 3 streams at an even
@@ -32,7 +36,6 @@
 // prints ~1.0x.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -297,20 +300,20 @@ int gate_on_baseline(double base_rate, double serial_rate) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using hs::bench::parse_arg;
   if (argc > 1 && std::strcmp(argv[1], "--large") == 0) {
     const std::size_t records =
-        argc > 2 ? static_cast<std::size_t>(std::strtoull(argv[2], nullptr, 10)) : 1000000;
-    const int reps = argc > 3 ? std::atoi(argv[3]) : 3;
-    const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 42;
+        argc > 2 ? parse_arg<std::uint64_t>(argv, 2, "records", 1) : 1000000;
+    const int reps = argc > 3 ? parse_arg(argv, 3, "reps", 1) : 3;
+    const std::uint64_t seed = argc > 4 ? parse_arg<std::uint64_t>(argv, 4, "seed", 0) : 42;
     return run_large(records, reps, seed);
   }
 
   const std::uint64_t seed = hs::bench::seed_from_args(argc, argv);
+  const unsigned threads = argc > 2 ? static_cast<unsigned>(parse_arg(argv, 2, "threads", 0)) : 4;
+  const int reps = argc > 3 ? parse_arg(argv, 3, "reps", 1) : 3;
   const double base_rate = baseline_rate(seed);
   const auto data = hs::bench::run_mission(argc, argv);
-  const unsigned threads =
-      argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 4;
-  const int reps = argc > 3 ? std::atoi(argv[3]) : 3;
   const unsigned resolved = hs::util::resolve_threads(threads);
   const std::size_t total = dataset_records(data);
 

@@ -11,7 +11,11 @@
 
 int main(int argc, char** argv) {
   using namespace hs;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
+  std::uint64_t seed = 42;
+  if (argc > 1 && !parse_number(argv[1], seed)) {
+    std::fprintf(stderr, "icares_replay: seed wants an unsigned integer, got '%s'\n", argv[1]);
+    return 1;
+  }
 
   std::printf("=== ICAres-1 mission replay (seed %llu) ===\n",
               static_cast<unsigned long long>(seed));

@@ -4,8 +4,9 @@
 #
 #   default  RelWithDebInfo, no instrumentation — the baseline suite
 #   asan     AddressSanitizer across every target, full suite
-#   tsan     ThreadSanitizer, `ctest -L concurrency` (the preset filters),
-#            one ctest entry per test case
+#   tsan     ThreadSanitizer, `ctest -L concurrency` (the preset filters);
+#            the concurrency suites list one ctest entry per test case in
+#            every build, so this runs the same entries the default does
 #   ubsan    UndefinedBehaviorSanitizer across every target, full suite
 #
 #   scripts/ci.sh                             # full matrix

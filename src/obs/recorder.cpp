@@ -38,8 +38,6 @@ const char* event_name(EventCode code) {
       return "offload-deferred";
     case EventCode::kChunkAcked:
       return "chunk-acked";
-    case EventCode::kBadgeDepleted:
-      return "badge-depleted";
   }
   return "?";
 }

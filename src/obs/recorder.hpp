@@ -45,7 +45,6 @@ enum class EventCode : std::uint16_t {
   kVoteTallied,       ///< a = proposal id, b = voter
   kOffloadDeferred,   ///< a = badge id (no reachable mesh node)
   kChunkAcked,        ///< a = origin, b = seq (reached replication_factor)
-  kBadgeDepleted,     ///< a = badge id
 };
 const char* event_name(EventCode code);
 
@@ -83,7 +82,6 @@ class FlightRecorder {
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
   /// Events lost to wraparound.
   [[nodiscard]] std::uint64_t dropped() const { return total_ - size(); }
-  [[nodiscard]] std::uint64_t dropped_count() const { return dropped(); }
   /// Counter (`hs.obs.flight_dropped_total`) bumped every time record()
   /// overwrites an event nobody read — silent wraparound loss made
   /// visible in the metrics dump. Null detaches. docs/OBSERVABILITY.md

@@ -248,8 +248,6 @@ class Tracer {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
   /// Live metadata (what to_csv() writes into the `#` lines).
   [[nodiscard]] TraceMeta meta() const;
-  /// Counter bumped on every dropped span; null detaches.
-  void set_dropped_counter(Counter* counter) { dropped_counter_ = counter; }
   /// Full drop accounting into a registry: bumps
   /// `hs.obs.trace_dropped_total` (registered eagerly) on every drop plus
   /// a lazily-registered `hs.obs.trace_dropped.<kind>` counter per kind

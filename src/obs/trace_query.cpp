@@ -45,8 +45,27 @@ std::string format_sim_time(SimTime t) {
 TraceIndex::TraceIndex(std::vector<TraceSpan> spans) : spans_(std::move(spans)) {
   by_id_.reserve(spans_.size());
   for (std::size_t i = 0; i < spans_.size(); ++i) {
-    by_id_.emplace(spans_[i].id, i);
-    by_trace_[spans_[i].trace].push_back(i);
+    const TraceSpan& s = spans_[i];
+    by_id_.emplace(s.id, i);
+    by_trace_[s.trace].push_back(i);
+    switch (s.kind) {
+      case SpanKind::kChunkOffload:
+      case SpanKind::kChunkAck:
+      case SpanKind::kChunkRead:
+        chunk_trace_.try_emplace(ChunkKey{s.a, s.b}, s.trace);
+        break;
+      case SpanKind::kAlertEvidence:
+        evidence_[ChunkKey{s.a, s.b}].push_back(i);
+        break;
+      case SpanKind::kAlertRaised:
+        raised_.try_emplace(s.a, i);
+        break;
+      case SpanKind::kControlPublish:
+        publishes_[s.link].push_back(i);
+        break;
+      default:
+        break;
+    }
   }
 }
 
@@ -60,20 +79,12 @@ ChunkLineage TraceIndex::follow_chunk(std::int64_t origin, std::int64_t seq) con
   out.origin = origin;
   out.seq = seq;
 
-  // Locate the chunk's trace through any span that names it: the offload
-  // (record chunks) or the ack. Control chunks have no offload span, so
-  // the ack (or any reader) is the way in.
-  TraceId trace = 0;
-  for (const TraceSpan& s : spans_) {
-    if ((s.kind == SpanKind::kChunkOffload || s.kind == SpanKind::kChunkAck ||
-         s.kind == SpanKind::kChunkRead) &&
-        s.a == origin && s.b == seq) {
-      trace = s.trace;
-      break;
-    }
-  }
-  if (trace == 0) return out;
-  const auto it = by_trace_.find(trace);
+  // Locate the chunk's trace through the first span that names it: the
+  // offload (record chunks) or the ack. Control chunks have no offload
+  // span, so the ack (or any reader) is the way in.
+  const auto key = chunk_trace_.find(ChunkKey{origin, seq});
+  if (key == chunk_trace_.end() || key->second == 0) return out;
+  const auto it = by_trace_.find(key->second);
   if (it == by_trace_.end()) return out;
 
   out.found = true;
@@ -100,10 +111,8 @@ ChunkLineage TraceIndex::follow_chunk(std::int64_t origin, std::int64_t seq) con
         break;
     }
   }
-  for (const TraceSpan& s : spans_) {
-    if (s.kind == SpanKind::kAlertEvidence && s.a == origin && s.b == seq) {
-      out.consumers.push_back(&s);
-    }
+  if (const auto ev = evidence_.find(ChunkKey{origin, seq}); ev != evidence_.end()) {
+    for (const std::size_t idx : ev->second) out.consumers.push_back(&spans_[idx]);
   }
   return out;
 }
@@ -118,14 +127,9 @@ std::optional<std::pair<std::int64_t, std::int64_t>> TraceIndex::first_acked_chu
 AlertPath TraceIndex::critical_path(std::int64_t alert_index) const {
   AlertPath out;
   out.alert_index = alert_index;
-  const TraceSpan* raised = nullptr;
-  for (const TraceSpan& s : spans_) {
-    if (s.kind == SpanKind::kAlertRaised && s.a == alert_index) {
-      raised = &s;
-      break;
-    }
-  }
-  if (raised == nullptr) return out;
+  const auto first_raise = raised_.find(alert_index);
+  if (first_raise == raised_.end()) return out;
+  const TraceSpan* raised = &spans_[first_raise->second];
   out.found = true;
   out.raised = raised;
 
@@ -139,10 +143,8 @@ AlertPath TraceIndex::critical_path(std::int64_t alert_index) const {
   }
   // The mesh publish rides the raise's causal context (link), landing in
   // the chunk's own trace — follow the cross-trace edge.
-  for (const TraceSpan& s : spans_) {
-    if (s.kind == SpanKind::kControlPublish && s.link == raised->id) {
-      out.publishes.push_back(&s);
-    }
+  if (const auto pub = publishes_.find(raised->id); pub != publishes_.end()) {
+    for (const std::size_t idx : pub->second) out.publishes.push_back(&spans_[idx]);
   }
   for (const TraceSpan* ev : out.evidence) {
     out.sources.push_back(follow_chunk(ev->a, ev->b));

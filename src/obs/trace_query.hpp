@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -85,6 +86,10 @@ struct TraceSummary {
   SimTime last_us = 0;
 };
 
+/// Every lookup a query needs is built once, in the constructor (a few
+/// hash and tree inserts per span), so follow_chunk and critical_path cost
+/// a handful of lookups plus the spans of the traces they return, not a
+/// scan of the whole dump. Results point into the index's span store.
 class TraceIndex {
  public:
   explicit TraceIndex(std::vector<TraceSpan> spans);
@@ -112,9 +117,20 @@ class TraceIndex {
   [[nodiscard]] PathLatencies path_latencies() const;
 
  private:
+  /// (origin, seq) of a chunk.
+  using ChunkKey = std::pair<std::int64_t, std::int64_t>;
+
   std::vector<TraceSpan> spans_;
   std::unordered_map<SpanId, std::size_t> by_id_;
   std::unordered_map<TraceId, std::vector<std::size_t>> by_trace_;
+  /// The trace of the first offload, ack or read span naming the chunk.
+  std::map<ChunkKey, TraceId> chunk_trace_;
+  /// The kAlertEvidence spans citing the chunk, in emission order.
+  std::map<ChunkKey, std::vector<std::size_t>> evidence_;
+  /// Alert index -> its first kAlertRaised span.
+  std::unordered_map<std::int64_t, std::size_t> raised_;
+  /// Link -> the kControlPublish spans carrying it, in emission order.
+  std::unordered_map<SpanId, std::vector<std::size_t>> publishes_;
 };
 
 /// Human-readable reports (what hs_trace prints). format_alert_path

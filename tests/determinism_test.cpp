@@ -1,9 +1,15 @@
 // Serial ≡ parallel: the pipeline's contract is that
-// PipelineOptions::threads changes wall-clock time only. This suite runs
-// the full 14-day mission on two seeds and demands bit-identical output
-// — every figure, table, statistic, and intermediate product — from the
-// serial pipeline (threads=1, the reference) and a pooled one
-// (threads=4, or the hardware thread count for the mission dumps).
+// PipelineOptions::threads changes wall-clock time only. Each case below
+// is one input (a seed and a fault plan): it simulates the mission once,
+// runs the analysis at threads=1 (the reference) and at the hardware
+// thread count into two copies of the post-mission metrics registry and
+// tracer, and demands bit-identical output — every figure, table,
+// statistic and intermediate product — and byte-identical metrics,
+// flight-log and trace dumps. MissionRunner never reads the thread
+// count, so one mission per input covers every thread count; the two
+// cases that also simulate the mission a second time check that a fresh
+// run repeats (plain seed 42, and the combined-fault plan, where every
+// fault kind fires).
 //
 // Exact floating-point equality is intentional: every shard writes only
 // its own slot and every cross-shard fold happens serially in a fixed
@@ -15,62 +21,49 @@
 // attribution oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
+#include "determinism_support.hpp"
 #include "scenario/scenario.hpp"
 #include "support/system.hpp"
 
 namespace hs::core {
 namespace {
 
+using test::Analysis;
+using test::expect_same_dumps;
+using test::MissionDumps;
+
 unsigned hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 1 ? hw : 4;  // a 1-core box must still exercise the pool
 }
 
-/// Everything a mission dumps as deterministic text: the metrics
-/// snapshot, the flight recorder's event log, and the causal trace.
-struct MissionDumps {
-  std::string metrics_csv;
-  std::string flight_log_csv;
-  std::string trace_csv;
-};
+/// A mission runner with a live support system sharing its registry,
+/// recorder and tracer, so the dumps also cover the support.* counters
+/// and alert traces.
+struct Mission {
+  explicit Mission(MissionConfig config) : runner(std::move(config)) {
+    support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
+    runner.add_observer([this](const MissionView& view) {
+      for (io::BadgeId id = 0; id < 6; ++id) {
+        const badge::Badge* b = view.network->badge(id);
+        support.ingest_badge(support::BadgeHealth{view.now, id, b->battery().fraction(),
+                                                  b->active(), b->docked(), b->worn()});
+      }
+    });
+  }
+  Mission(const Mission&) = delete;
+  Mission& operator=(const Mission&) = delete;
 
-/// Run the full mission and the analysis (which folds its pipeline.*
-/// metrics and trace spans into the same registry/tracer), then dump
-/// every deterministic text export. The obs contract: each string is a
-/// pure function of (seed, plan) — independent of `threads` entirely.
-MissionDumps mission_dumps(std::uint64_t seed, faults::FaultPlan plan, unsigned threads) {
-  MissionConfig config;
-  config.seed = seed;
-  config.fault_plan = std::move(plan);
-  MissionRunner runner(config);
-  // A live support system sharing the runner's registry and tracer, so
-  // the dumps also cover the support.* counters and alert traces.
+  MissionRunner runner;
   support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  runner.add_observer([&support](const MissionView& view) {
-    for (io::BadgeId id = 0; id < 6; ++id) {
-      const badge::Badge* b = view.network->badge(id);
-      support.ingest_badge(support::BadgeHealth{view.now, id, b->battery().fraction(),
-                                                b->active(), b->docked(), b->worn()});
-    }
-  });
-  const Dataset data = runner.run();
-  PipelineOptions opts;
-  opts.threads = threads;
-  opts.metrics = &runner.metrics();
-  opts.tracer = &runner.tracer();
-  const AnalysisPipeline pipeline(data, opts);
-  (void)pipeline.artifacts();  // artifacts() shards too; it must not register drift
-  MissionReport report = runner.report();
-  return MissionDumps{std::move(report.metrics_csv), std::move(report.flight_log_csv),
-                      std::move(report.trace_csv)};
-}
+};
 
 void expect_same_series(const AnalysisPipeline::DailySeries& a,
                         const AnalysisPipeline::DailySeries& b) {
@@ -156,10 +149,12 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   EXPECT_EQ(a.survey.comfort_slope_per_day, b.survey.comfort_slope_per_day);
   EXPECT_EQ(a.survey.responses, b.survey.responses);
 
-  // Fig. 5 timeline (day 5: mid-mission, fully instrumented) and the
-  // voice census round out the paper's artifact set.
-  const auto t1 = serial.fig5_timeline(5);
-  const auto t2 = parallel.fig5_timeline(5);
+  // Fig. 5 timeline (day 5: mid-mission, fully instrumented; the last
+  // day of a shorter mission) and the voice census round out the paper's
+  // artifact set.
+  const int day = std::min(5, data.script.mission_days);
+  const auto t1 = serial.fig5_timeline(day);
+  const auto t2 = parallel.fig5_timeline(day);
   ASSERT_EQ(t1.size(), t2.size());
   for (std::size_t i = 0; i < t1.size(); ++i) {
     ASSERT_EQ(t1[i].size(), t2[i].size());
@@ -172,9 +167,9 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
   EXPECT_EQ(serial.voice_census(), parallel.voice_census());
 
-  // Meetings and their speech dynamics (day 5, mid-mission).
-  const auto ms = serial.meetings_on(5);
-  const auto mp = parallel.meetings_on(5);
+  // Meetings and their speech dynamics on the same day.
+  const auto ms = serial.meetings_on(day);
+  const auto mp = parallel.meetings_on(day);
   ASSERT_EQ(ms.size(), mp.size());
   for (std::size_t k = 0; k < ms.size(); ++k) {
     EXPECT_EQ(ms[k].room, mp[k].room) << "meeting " << k;
@@ -189,44 +184,53 @@ void expect_pipelines_identical(const Dataset& data, const AnalysisPipeline& ser
   }
 }
 
-/// The serial pipeline is the reference; a 4-thread pipeline must
-/// reproduce it bit-for-bit.
-void expect_identical(const Dataset& data) {
-  auto make = [&](unsigned threads) {
-    PipelineOptions opts;
-    opts.threads = threads;
-    return AnalysisPipeline(data, opts);
-  };
-  expect_pipelines_identical(data, make(1), make(4));
+/// One input's thread comparison: simulate the mission once through
+/// `last_day`, analyse it at threads=1 and at the hardware thread count,
+/// and demand bit-identical pipelines and byte-identical dumps. Returns
+/// the hardware-thread dumps (after one artifacts() call, which shards
+/// too and must not register drift).
+MissionDumps expect_thread_independent(const MissionConfig& config, int last_day) {
+  Mission mission(config);
+  const Dataset data = mission.runner.run_days(last_day);
+  const Analysis serial(mission.runner, data, 1);
+  const Analysis parallel(mission.runner, data, hardware_threads());
+  expect_pipelines_identical(data, *serial.pipeline, *parallel.pipeline);
+  const MissionDumps dumps = parallel.dumps();
+  expect_same_dumps(serial.dumps(), dumps);
+  return dumps;
 }
 
-TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed42) {
-  expect_identical(run_icares_mission(42));
+/// A fresh run of the same input at the hardware thread count, analysed
+/// exactly as expect_thread_independent analyses its parallel copy:
+/// repeatability, not just thread independence.
+MissionDumps fresh_run_dumps(const MissionConfig& config, int last_day) {
+  Mission mission(config);
+  const Dataset data = mission.runner.run_days(last_day);
+  const Analysis analysis(mission.runner, data, hardware_threads());
+  (void)analysis.pipeline->artifacts();
+  return analysis.dumps();
 }
 
-TEST(DeterminismTest, SerialAndParallelPipelinesAreBitIdenticalSeed7) {
-  expect_identical(run_icares_mission(7));
+MissionConfig mission_config(std::uint64_t seed, faults::FaultPlan plan = {}) {
+  MissionConfig config;
+  config.seed = seed;
+  config.fault_plan = std::move(plan);
+  return config;
 }
 
-TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
-  const MissionDumps serial = mission_dumps(42, {}, 1);
-  const MissionDumps parallel = mission_dumps(42, {}, hardware_threads());
-  EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
-  EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
-  EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
-  // Same seed, same thread count, fresh run: repeatability, not just
-  // thread independence.
-  const MissionDumps again = mission_dumps(42, {}, hardware_threads());
-  EXPECT_EQ(parallel.metrics_csv, again.metrics_csv);
-  EXPECT_EQ(parallel.flight_log_csv, again.flight_log_csv);
-  EXPECT_EQ(parallel.trace_csv, again.trace_csv);
+int whole_mission(const MissionConfig& config) { return config.script.mission_days; }
+
+TEST(DeterminismTest, PlainMissionSeed42RepeatsAndIsThreadIndependent) {
+  const MissionConfig config = mission_config(42);
+  const MissionDumps dumps = expect_thread_independent(config, whole_mission(config));
+  expect_same_dumps(dumps, fresh_run_dumps(config, whole_mission(config)));
 
   // The dump must be real data, not an agreement on emptiness. (The
   // kernel counters and alert counts are legitimately 0 on the happy
   // path — no faults and no mesh means nothing is ever enqueued — so
   // only presence is required for those; the I/O and pipeline counters
   // must show traffic.)
-  const auto snap = obs::MetricsSnapshot::from_csv(serial.metrics_csv);
+  const auto snap = obs::MetricsSnapshot::from_csv(dumps.metrics_csv);
   ASSERT_TRUE(snap.has_value());
   for (const char* name : {"sim.events_fired", "badge.sd_records_written",
                            "pipeline.records_attributed", "support.alerts_raised"}) {
@@ -240,7 +244,7 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
   // kernel never enqueues, badges never offload — so the guaranteed
   // spans are the pipeline's: one run root, a stage per phase, a shard
   // per unit of parallel work, all emitted serially after each barrier.
-  const auto spans = obs::Tracer::from_csv(serial.trace_csv);
+  const auto spans = obs::Tracer::from_csv(dumps.trace_csv);
   ASSERT_TRUE(spans.has_value()) << spans.error().message;
   EXPECT_FALSE(spans->empty());
   const obs::TraceIndex index(std::move(*spans));
@@ -256,28 +260,23 @@ TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed42) {
   EXPECT_GT(count_of(obs::SpanKind::kPipelineShard), 0U);
 }
 
-TEST(DeterminismTest, MetricsDumpByteIdenticalAcrossThreadsSeed7) {
-  const MissionDumps serial = mission_dumps(7, {}, 1);
-  const MissionDumps parallel = mission_dumps(7, {}, hardware_threads());
-  EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
-  EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
-  EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
+TEST(DeterminismTest, PlainMissionSeed7IsThreadIndependent) {
+  const MissionConfig config = mission_config(7);
+  (void)expect_thread_independent(config, whole_mission(config));
 }
 
-TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
+TEST(DeterminismTest, CombinedFaultsSeed42RepeatsAndIsThreadIndependent) {
   // The kitchen-sink preset fires every fault kind; fault bookkeeping,
-  // alert storms and degraded-I/O counters all land in the dump, and it
-  // still may not depend on the pipeline's thread count.
-  const MissionDumps serial = mission_dumps(42, faults::FaultPlan::combined(42), 1);
-  const MissionDumps parallel =
-      mission_dumps(42, faults::FaultPlan::combined(42), hardware_threads());
-  EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv);
-  EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv);
-  EXPECT_EQ(serial.trace_csv, parallel.trace_csv);
+  // alert storms and degraded-I/O counters all land in the dump. Fault
+  // injection changes the dataset, never the analysis, and the dump may
+  // depend on neither the pipeline's thread count nor the run.
+  const MissionConfig config = mission_config(42, faults::FaultPlan::combined(42));
+  const MissionDumps dumps = expect_thread_independent(config, whole_mission(config));
+  expect_same_dumps(dumps, fresh_run_dumps(config, whole_mission(config)));
 
   // Under a real plan the event kernel is busy (activations, recoveries)
   // and the fault counters show the whole lifecycle.
-  const auto snap = obs::MetricsSnapshot::from_csv(serial.metrics_csv);
+  const auto snap = obs::MetricsSnapshot::from_csv(dumps.metrics_csv);
   ASSERT_TRUE(snap.has_value());
   ASSERT_NE(snap->find("sim.events_fired"), nullptr);
   EXPECT_GT(snap->find("sim.events_fired")->count, 0U);
@@ -285,86 +284,53 @@ TEST(DeterminismTest, MetricsDumpKeepsTheContractUnderCombinedFaults) {
   EXPECT_GT(snap->find("faults.armed")->count, 0U);
 }
 
-TEST(DeterminismTest, CascadeMissionKeepsTheContractSeeds7And42) {
-  // Two generated cascade topologies (one per seed): the scenario layer
-  // expands dependency-graph fault propagation into a flat plan before
-  // the mission starts, and that plan rides the stock injector — so the
-  // dumps must stay a pure function of the seed, byte-identical between
-  // the serial reference and the hardware-thread run.
-  for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{42}}) {
-    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::generated(seed);
-    const auto expanded = scenario::expand_scenario(spec, seed);
-    ASSERT_TRUE(expanded.has_value()) << expanded.error().message;
-    ASSERT_FALSE(expanded->cascade.plan.empty());
-    const MissionDumps serial = mission_dumps(seed, expanded->cascade.plan, 1);
-    const MissionDumps parallel = mission_dumps(seed, expanded->cascade.plan, hardware_threads());
-    EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv) << "seed " << seed;
-    EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv) << "seed " << seed;
-    EXPECT_EQ(serial.trace_csv, parallel.trace_csv) << "seed " << seed;
-  }
+/// A generated cascade topology (one per seed): the scenario layer
+/// expands dependency-graph fault propagation into a flat plan before
+/// the mission starts, and that plan rides the stock injector — so the
+/// dumps must stay a pure function of the seed.
+void expect_cascade_mission_thread_independent(std::uint64_t seed) {
+  const scenario::ScenarioSpec spec = scenario::ScenarioSpec::generated(seed);
+  const auto expanded = scenario::expand_scenario(spec, seed);
+  ASSERT_TRUE(expanded.has_value()) << expanded.error().message;
+  ASSERT_FALSE(expanded->cascade.plan.empty());
+  const MissionConfig config = mission_config(seed, expanded->cascade.plan);
+  (void)expect_thread_independent(config, whole_mission(config));
 }
 
-/// Sampled variant of mission_dumps: a 2-day partitioned-mesh mission
-/// (badges on from day 1, so chunk stories exist) at a 50 % trace keep
-/// threshold. The keep/drop decision hashes only the trace id, so the
-/// dumps must stay byte-identical across thread counts with sampling on
-/// the path.
-MissionDumps sampled_mission_dumps(std::uint64_t seed, unsigned threads) {
-  MissionConfig config;
-  config.seed = seed;
+TEST(DeterminismTest, CascadeMissionSeed7IsThreadIndependent) {
+  expect_cascade_mission_thread_independent(7);
+}
+
+TEST(DeterminismTest, CascadeMissionSeed42IsThreadIndependent) {
+  expect_cascade_mission_thread_independent(42);
+}
+
+/// A 2-day partitioned-mesh mission (badges on from day 1, so chunk
+/// stories exist) at a 50 % trace keep threshold. The keep/drop decision
+/// hashes only the trace id, so the dumps must stay byte-identical across
+/// thread counts with sampling on the path.
+void expect_sampled_mission_thread_independent(std::uint64_t seed) {
+  MissionConfig config = mission_config(seed, faults::FaultPlan::mesh_partition());
   config.mesh.enabled = true;
   config.collect_from_mesh = true;
   config.script.badge_start_day = 1;
-  config.fault_plan = faults::FaultPlan::mesh_partition();
   config.trace_keep_millionths = obs::Tracer::kSampleScale / 2;
-  MissionRunner runner(config);
-  support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  runner.add_observer([&support](const MissionView& view) {
-    for (io::BadgeId id = 0; id < 6; ++id) {
-      const badge::Badge* b = view.network->badge(id);
-      support.ingest_badge(support::BadgeHealth{view.now, id, b->battery().fraction(),
-                                                b->active(), b->docked(), b->worn()});
-    }
-  });
-  const Dataset data = runner.run_days(2);
-  PipelineOptions opts;
-  opts.threads = threads;
-  opts.metrics = &runner.metrics();
-  opts.tracer = &runner.tracer();
-  const AnalysisPipeline pipeline(data, opts);
-  (void)pipeline;
-  MissionReport report = runner.report();
-  return MissionDumps{std::move(report.metrics_csv), std::move(report.flight_log_csv),
-                      std::move(report.trace_csv)};
+  const MissionDumps dumps = expect_thread_independent(config, 2);
+  // The dump declares its own threshold (hs_trace reads it back), and
+  // sampling actually dropped something at this scenario size.
+  EXPECT_NE(dumps.trace_csv.find("\n#sampling,500000,"), std::string::npos);
+  const auto parsed = obs::Tracer::parse_dump(dumps.trace_csv);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_GT(parsed->meta.dropped, 0U);
+  EXPECT_FALSE(parsed->spans.empty());
 }
 
-TEST(DeterminismTest, SampledTraceDumpByteIdenticalAcrossThreadsSeeds7And42) {
-  for (const std::uint64_t seed : {std::uint64_t{7}, std::uint64_t{42}}) {
-    const MissionDumps serial = sampled_mission_dumps(seed, 1);
-    const MissionDumps parallel = sampled_mission_dumps(seed, 4);
-    EXPECT_EQ(serial.trace_csv, parallel.trace_csv) << "seed " << seed;
-    EXPECT_EQ(serial.metrics_csv, parallel.metrics_csv) << "seed " << seed;
-    EXPECT_EQ(serial.flight_log_csv, parallel.flight_log_csv) << "seed " << seed;
-    // The dump declares its own threshold (hs_trace reads it back), and
-    // sampling actually dropped something at this scenario size.
-    EXPECT_NE(serial.trace_csv.find("\n#sampling,500000,"), std::string::npos) << "seed " << seed;
-    const auto parsed = obs::Tracer::parse_dump(serial.trace_csv);
-    ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
-    EXPECT_GT(parsed->meta.dropped, 0U) << "seed " << seed;
-    EXPECT_FALSE(parsed->spans.empty()) << "seed " << seed;
-  }
+TEST(DeterminismTest, SampledMeshMissionSeed7IsThreadIndependent) {
+  expect_sampled_mission_thread_independent(7);
 }
 
-TEST(DeterminismTest, FaultedMissionKeepsTheContract) {
-  // Fault injection changes the dataset, never the analysis: a mission
-  // degraded by the kitchen-sink plan (every fault kind once, seeded)
-  // must still be bit-identical between serial and parallel pipelines.
-  MissionConfig config;
-  config.seed = 42;
-  config.fault_plan = faults::FaultPlan::combined(42);
-  MissionRunner runner(config);
-  expect_identical(runner.run());
+TEST(DeterminismTest, SampledMeshMissionSeed42IsThreadIndependent) {
+  expect_sampled_mission_thread_independent(42);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //
 //  2. A mesh-collected dataset flows through the analysis pipeline with
 //     the same serial ≡ parallel guarantee as a direct-feed one: the
-//     pipeline cannot tell where the cards came from.
+//     pipeline cannot tell where the cards came from. One mission per
+//     seed feeds both thread counts (MissionRunner never reads them).
 //
 // Registered under both the `concurrency` and `mesh` ctest labels.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
+#include "determinism_support.hpp"
 #include "mesh/mesh.hpp"
 
 namespace hs::core {
@@ -106,9 +108,8 @@ TEST(MeshDeterminism, SameSeedAndPlanYieldByteIdenticalMeshes) {
   // trace — byte for byte.
   const auto r1 = first->report();
   const auto r2 = second->report();
-  EXPECT_EQ(r1.metrics_csv, r2.metrics_csv);
-  EXPECT_EQ(r1.flight_log_csv, r2.flight_log_csv);
-  EXPECT_EQ(r1.trace_csv, r2.trace_csv);
+  test::expect_same_dumps({r1.metrics_csv, r1.flight_log_csv, r1.trace_csv},
+                          {r2.metrics_csv, r2.flight_log_csv, r2.trace_csv});
 
   // The mirrored mesh.* counters must agree exactly with GossipStats —
   // same increment sites, so any split means a missed instrumentation.
@@ -130,45 +131,20 @@ TEST(MeshDeterminism, SameSeedAndPlanYieldByteIdenticalMeshes) {
   EXPECT_EQ(metrics.find_counter("mesh.replication_acks")->value(), m1->acked_keys().size());
 }
 
-TEST(MeshDeterminism, MetricsDumpByteIdenticalUnderPartition) {
-  // Two fresh missions under the beacon-outage + mesh-partition plan, one
-  // analyzed serially and one with the pool: the combined mission +
-  // pipeline metrics and trace dumps may depend on neither run identity
-  // nor thread count. Seeds 7 and 42 per the determinism regression
-  // matrix.
-  for (const std::uint64_t seed : {7ULL, 42ULL}) {
-    auto r1 = make_mesh_runner(seed);
-    auto r2 = make_mesh_runner(seed);
-    const Dataset d1 = r1->run_days(3);
-    const Dataset d2 = r2->run_days(3);
-
-    PipelineOptions serial_opts;
-    serial_opts.threads = 1;
-    serial_opts.metrics = &r1->metrics();
-    serial_opts.tracer = &r1->tracer();
-    PipelineOptions parallel_opts;
-    parallel_opts.threads = 4;
-    parallel_opts.metrics = &r2->metrics();
-    parallel_opts.tracer = &r2->tracer();
-    const AnalysisPipeline serial(d1, serial_opts);
-    const AnalysisPipeline parallel(d2, parallel_opts);
-
-    EXPECT_EQ(r1->report().metrics_csv, r2->report().metrics_csv) << "seed " << seed;
-    EXPECT_EQ(r1->report().flight_log_csv, r2->report().flight_log_csv) << "seed " << seed;
-    EXPECT_EQ(r1->report().trace_csv, r2->report().trace_csv) << "seed " << seed;
-  }
-}
-
-TEST(MeshDeterminism, SerialAndParallelPipelinesAgreeOnMeshCollectedData) {
-  auto runner = make_mesh_runner(42);
+/// Thread comparison on one 3-day mission under the beacon-outage +
+/// mesh-partition plan: the analysis runs at threads=1 and with the pool
+/// into two copies of the post-mission registry and tracer, so the mesh
+/// is simulated once. The pipelines must agree on every product a
+/// mesh-collected dataset feeds, and the combined mission + pipeline
+/// metrics and trace dumps may not depend on the thread count. That a
+/// fresh mission repeats is SameSeedAndPlanYieldByteIdenticalMeshes' job.
+void expect_mesh_mission_thread_independent(std::uint64_t seed) {
+  auto runner = make_mesh_runner(seed);
   const Dataset data = runner->run_days(3);
-
-  PipelineOptions serial_opts;
-  serial_opts.threads = 1;
-  PipelineOptions parallel_opts;
-  parallel_opts.threads = 4;
-  const AnalysisPipeline serial(data, serial_opts);
-  const AnalysisPipeline parallel(data, parallel_opts);
+  const test::Analysis serial_copy(*runner, data, 1);
+  const test::Analysis parallel_copy(*runner, data, 4);
+  const AnalysisPipeline& serial = *serial_copy.pipeline;
+  const AnalysisPipeline& parallel = *parallel_copy.pipeline;
 
   for (const auto& log : data.logs) {
     const auto* fs = serial.clock_fit(log.id);
@@ -195,6 +171,16 @@ TEST(MeshDeterminism, SerialAndParallelPipelinesAgreeOnMeshCollectedData) {
   EXPECT_EQ(a.dataset.total_records, b.dataset.total_records);
   EXPECT_EQ(a.dataset.total_gib, b.dataset.total_gib);
   EXPECT_EQ(serial.voice_census(), parallel.voice_census());
+
+  test::expect_same_dumps(serial_copy.dumps(), parallel_copy.dumps());
+}
+
+TEST(MeshDeterminism, MetricsDumpByteIdenticalUnderPartitionSeed7) {
+  expect_mesh_mission_thread_independent(7);
+}
+
+TEST(MeshDeterminism, MetricsDumpByteIdenticalUnderPartitionSeed42) {
+  expect_mesh_mission_thread_independent(42);
 }
 
 }  // namespace

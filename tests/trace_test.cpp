@@ -85,8 +85,8 @@ TEST(TracerTest, CapDropsAreCountedAndIdsKeepFlowing) {
   // Lift the per-kind budget so this test isolates the global cap.
   t.set_kind_budget(SpanKind::kChunkOffload, 0);
   Registry registry;
-  Counter& dropped = registry.counter("hs.obs.trace_dropped_total");
-  t.set_dropped_counter(&dropped);
+  t.set_drop_metrics(&registry);
+  const Counter& dropped = *registry.find_counter("hs.obs.trace_dropped_total");
 
   std::vector<SpanId> ids;
   for (int i = 0; i < 10; ++i) {
@@ -100,6 +100,8 @@ TEST(TracerTest, CapDropsAreCountedAndIdsKeepFlowing) {
   // The cap drops are attributed to the kind that hit the wall.
   EXPECT_EQ(t.kind_kept(SpanKind::kChunkOffload), 4U);
   EXPECT_EQ(t.kind_dropped(SpanKind::kChunkOffload), 6U);
+  ASSERT_NE(registry.find_counter("hs.obs.trace_dropped.chunk_offload"), nullptr);
+  EXPECT_EQ(registry.find_counter("hs.obs.trace_dropped.chunk_offload")->value(), 6U);
   // Ids are assigned even for dropped spans (id assignment never depends
   // on the cap), and they are all distinct.
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -650,6 +652,76 @@ TEST(TraceIndexTest, FollowsASyntheticChunk) {
   EXPECT_FALSE(index.follow_chunk(4, 10).found);
 }
 
+TEST(TraceIndexTest, FirstNamingSpanPicksTheTraceAndListsKeepEmissionOrder) {
+  // A hand-made dump in which chunk 4:9 is named in two traces (0x200
+  // first, then 0x300), evidence citing it comes before, between and
+  // after its own spans, and alert 0 has two raise spans.
+  const auto span = [](TraceId trace, SpanId id, SpanKind kind, std::int64_t a, std::int64_t b,
+                       SpanId parent = 0, SpanId link = 0) {
+    return TraceSpan{.trace = trace, .id = id, .parent = parent, .link = link, .kind = kind,
+                     .subsys = Subsys::kMesh, .start = static_cast<SimTime>(id),
+                     .end = static_cast<SimTime>(id), .a = a, .b = b, .c = 3};
+  };
+  const std::vector<TraceSpan> spans = {
+      span(0x100, 1, SpanKind::kAlertEvidence, 4, 9),
+      span(0x100, 2, SpanKind::kAlertRaised, 0, 1),
+      span(0x200, 3, SpanKind::kBadgeSlice, 4, 12),
+      span(0x200, 4, SpanKind::kChunkOffload, 4, 9, 3),
+      span(0x101, 5, SpanKind::kAlertEvidence, 4, 9),
+      span(0x300, 6, SpanKind::kChunkAck, 4, 9),
+      span(0x300, 7, SpanKind::kChunkRead, 4, 9, 6),
+      span(0x200, 8, SpanKind::kChunkReplicate, 2, 5, 4),
+      span(0x200, 9, SpanKind::kChunkAck, 4, 9, 4),
+      span(0x102, 10, SpanKind::kAlertEvidence, 4, 9),
+      // Chunk 5:1: a read names it before its offload does.
+      span(0x400, 11, SpanKind::kChunkRead, 5, 1),
+      span(0x500, 12, SpanKind::kChunkOffload, 5, 1),
+      // A second raise of alert 0 and publishes linked to each raise.
+      span(0x600, 13, SpanKind::kControlPublish, 7, 0, 0, 2),
+      span(0x103, 14, SpanKind::kAlertRaised, 0, 2),
+      span(0x700, 15, SpanKind::kControlPublish, 8, 0, 0, 14),
+      span(0x800, 16, SpanKind::kControlPublish, 9, 0, 0, 2),
+  };
+  const TraceIndex index(spans);
+  const auto ids = [](const std::vector<const TraceSpan*>& list) {
+    std::vector<SpanId> out;
+    for (const TraceSpan* s : list) out.push_back(s->id);
+    return out;
+  };
+
+  // The first offload, ack or read span naming the chunk picks its trace;
+  // spans of the other trace stay out of the lineage.
+  const ChunkLineage chunk = index.follow_chunk(4, 9);
+  ASSERT_TRUE(chunk.found);
+  ASSERT_NE(chunk.slice, nullptr);
+  EXPECT_EQ(chunk.slice->id, 3U);
+  ASSERT_NE(chunk.root, nullptr);
+  EXPECT_EQ(chunk.root->id, 4U);
+  EXPECT_EQ(ids(chunk.replicas), (std::vector<SpanId>{8}));
+  ASSERT_NE(chunk.ack, nullptr);
+  EXPECT_EQ(chunk.ack->id, 9U);
+  EXPECT_TRUE(chunk.reads.empty());
+  // Every evidence span citing the chunk, wherever it sits, in dump order.
+  EXPECT_EQ(ids(chunk.consumers), (std::vector<SpanId>{1, 5, 10}));
+
+  const ChunkLineage read_first = index.follow_chunk(5, 1);
+  ASSERT_TRUE(read_first.found);
+  EXPECT_EQ(read_first.root, nullptr);
+  EXPECT_EQ(ids(read_first.reads), (std::vector<SpanId>{11}));
+  EXPECT_TRUE(read_first.consumers.empty());
+
+  // The first raise span is the alert's; publishes follow its id as link.
+  const AlertPath path = index.critical_path(0);
+  ASSERT_TRUE(path.found);
+  EXPECT_EQ(path.raised->id, 2U);
+  EXPECT_EQ(ids(path.evidence), (std::vector<SpanId>{1}));
+  EXPECT_EQ(ids(path.publishes), (std::vector<SpanId>{13, 16}));
+  ASSERT_EQ(path.sources.size(), 1U);
+  EXPECT_EQ(path.sources[0].root->id, 4U);
+  EXPECT_EQ(index.alert_indices(), (std::vector<std::int64_t>{0, 0}));
+  EXPECT_FALSE(index.critical_path(1).found);
+}
+
 // ---------------------------------------------------------------------------
 // Flight recorder wraparound accounting (satellite: capacity/dropped)
 // ---------------------------------------------------------------------------
@@ -664,7 +736,7 @@ TEST(FlightRecorderTest, WraparoundIsCountedAndExposed) {
   for (int i = 0; i < 8; ++i) {
     recorder.record(i, Subsys::kSim, EventCode::kFaultActivated, i);
   }
-  EXPECT_EQ(recorder.dropped_count(), 0U);
+  EXPECT_EQ(recorder.dropped(), 0U);
   EXPECT_EQ(dropped.value(), 0U);  // filling the ring loses nothing
 
   for (int i = 8; i < 13; ++i) {
@@ -672,7 +744,7 @@ TEST(FlightRecorderTest, WraparoundIsCountedAndExposed) {
   }
   EXPECT_EQ(recorder.size(), 8U);
   EXPECT_EQ(recorder.total_recorded(), 13U);
-  EXPECT_EQ(recorder.dropped_count(), 5U);
+  EXPECT_EQ(recorder.dropped(), 5U);
   EXPECT_EQ(dropped.value(), 5U);
   // The survivors are the most recent `capacity` events, oldest first.
   const auto events = recorder.events();
