@@ -1,11 +1,10 @@
 // Shared helpers for the bench harnesses.
 //
-// Every figure harness runs the canonical ICAres-1 mission (seed from
-// argv[1], default 42), feeds the dataset through the AnalysisPipeline,
-// and prints the same rows/series the paper's figure or table reports,
-// with the paper's reference values alongside. The perf and determinism
-// harnesses time with seconds_since and explain a dump mismatch with
-// report_diff, so every gate times and diffs the same way.
+// The mission harnesses take the seed as argv[1] (default 42) and read
+// every number on their command line through parse_arg; icares_replay
+// and perf_pipeline run the canonical 14-day ICAres-1 mission. The perf
+// and determinism harnesses time with seconds_since and explain a dump
+// mismatch with report_diff, so every gate times and diffs the same way.
 #pragma once
 
 #include <algorithm>

@@ -3,14 +3,14 @@
 //   latency_paths [seed=42] [days=2] [--baseline PATH] [--write-baseline]
 //
 // Runs the two canonical instrumented scenarios — "mesh-partition" (the
-// hs_trace mission: partition faults, support fed from the mesh read
-// view, alerts published back over the mesh) and "cascade-storm" (the
-// cascade_storm phase-2 habitat) — and extracts the two end-to-end
-// latency families from the causal trace (obs::TraceIndex::
-// path_latencies): chunk offload -> ack and sensor record -> alert
-// raise. Latencies are sim-time seconds, a pure function of (seed,
-// days), so the p50/p99 numbers are exact and the regression gate can
-// be tight.
+// hs_trace mission: partition faults) and "cascade-storm" (one power-storm
+// campaign habitat) — with the support system wired as every habitat runs
+// it (fleet::attach_support: fed from the mesh read view, alerts published
+// back over the mesh), and extracts the two end-to-end latency families
+// from the causal trace (obs::TraceIndex::path_latencies): chunk
+// offload -> ack and sensor record -> alert raise. Latencies are sim-time
+// seconds, a pure function of (seed, days), so the p50/p99 numbers are
+// exact and the regression gate can be tight.
 //
 // Each scenario runs four times: threads=1 and threads=hw at full
 // sampling, then again at a 50 % trace-keep threshold. The serial and
@@ -41,7 +41,7 @@
 #include "faults/fault_plan.hpp"
 #include "fleet/aggregator.hpp"
 #include "fleet/campaign.hpp"
-#include "mesh/read_view.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "obs/trace_query.hpp"
 #include "scenario/scenario.hpp"
 #include "support/system.hpp"
@@ -90,27 +90,7 @@ PassResult run_pass(const std::string& scenario, std::uint64_t seed, int days, u
 
   core::MissionRunner runner(config);
   support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  if (storm) {
-    runner.add_observer([&support, &expanded](const core::MissionView& view) {
-      if (view.now == 0 || view.now % kDay != 0) return;
-      expanded.coupling.apply_day(mission_day(view.now - 1), support.resources());
-      support.end_of_day(view.now);
-    });
-  }
-  runner.add_observer([&support, storm](const core::MissionView& view) {
-    if (view.mesh == nullptr || view.now % minutes(5) != 0 || view.now == 0) return;
-    if (!storm) {
-      support.set_alert_sink([&view](const support::Alert& alert) {
-        (void)view.mesh->publish_alert(view.mesh->base_station_id(), alert, view.now);
-      });
-    }
-    const mesh::MeshReadView mesh_view(*view.mesh);
-    for (const auto& health : mesh_view.health_snapshot(view.now, minutes(10))) {
-      support.ingest_badge(health);
-    }
-    if (!storm) support.set_alert_sink(nullptr);
-  });
+  fleet::attach_support(runner, support, fleet::CampaignOptions{}, storm ? &expanded : nullptr);
 
   const core::Dataset dataset = runner.run_days(days);
   core::PipelineOptions options;

@@ -61,44 +61,24 @@ void collect_trace_stats(const mesh::MeshNetwork& mesh, SimDuration stale_after,
 
 }  // namespace
 
-HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& options) {
-  core::MissionRunner runner(make_mission_config(spec));
-  support::SupportSystem support(support::SupportConfig{.crew_size = spec.crew});
+void attach_support(core::MissionRunner& runner, support::SupportSystem& support,
+                    const CampaignOptions& options, const scenario::ExpandedScenario* cascade) {
   support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  const SimDuration cadence = options.support_cadence;
-  const SimDuration stale_after = options.stale_after;
-
-  // Cascade scenario wiring: re-expand (pure, cheap next to the mission)
-  // for the activation record and the resource coupling. The device
-  // faults themselves are already in the runner's plan via
-  // make_mission_config; here the coupling drains the ledger at each day
-  // boundary so sustained cascades surface as shortage alerts, published
-  // over the mesh like every other alert.
-  scenario::ExpandedScenario cascade;
-  if (spec.cascade != "none") {
-    if (auto scen = scenario::scenario_preset(spec.cascade, spec.seed); scen.has_value()) {
-      if (auto expanded = scenario::expand_scenario(*scen, spec.seed); expanded.has_value()) {
-        cascade = std::move(*expanded);
-      }
-    }
-    runner.metrics().gauge("scenario.cascade_activations")
-        .set(static_cast<double>(cascade.cascade.activations.size()));
-    runner.metrics().gauge("scenario.cascade_dependents")
-        .set(static_cast<double>(cascade.cascade.dependents));
-    runner.metrics().gauge("scenario.cascade_repairs")
-        .set(static_cast<double>(cascade.cascade.repairs));
-    runner.add_observer([&support, &cascade](const core::MissionView& view) {
+  if (cascade != nullptr) {
+    runner.add_observer([&support, cascade](const core::MissionView& view) {
       if (view.now == 0 || view.now % kDay != 0) return;
       if (view.mesh != nullptr) {
         support.set_alert_sink([&view](const support::Alert& alert) {
           (void)view.mesh->publish_alert(view.mesh->base_station_id(), alert, view.now);
         });
       }
-      cascade.coupling.apply_day(mission_day(view.now - 1), support.resources());
+      cascade->coupling.apply_day(mission_day(view.now - 1), support.resources());
       support.end_of_day(view.now);
       support.set_alert_sink(nullptr);
     });
   }
+  const SimDuration cadence = options.support_cadence;
+  const SimDuration stale_after = options.stale_after;
   runner.add_observer([&support, cadence, stale_after](const core::MissionView& view) {
     if (view.mesh == nullptr || view.now % cadence != 0 || view.now == 0) return;
     support.set_alert_sink([&view](const support::Alert& alert) {
@@ -110,6 +90,34 @@ HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& optio
     }
     support.set_alert_sink(nullptr);
   });
+}
+
+HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& options) {
+  core::MissionRunner runner(make_mission_config(spec));
+  support::SupportSystem support(support::SupportConfig{.crew_size = spec.crew});
+
+  // Cascade scenario wiring: re-expand (pure, cheap next to the mission)
+  // for the activation record and the resource coupling. The device
+  // faults themselves are already in the runner's plan via
+  // make_mission_config; here the coupling drains the ledger at each day
+  // boundary so sustained cascades surface as shortage alerts, published
+  // over the mesh like every other alert.
+  scenario::ExpandedScenario cascade;
+  const bool cascading = spec.cascade != "none";
+  if (cascading) {
+    if (auto scen = scenario::scenario_preset(spec.cascade, spec.seed); scen.has_value()) {
+      if (auto expanded = scenario::expand_scenario(*scen, spec.seed); expanded.has_value()) {
+        cascade = std::move(*expanded);
+      }
+    }
+    runner.metrics().gauge("scenario.cascade_activations")
+        .set(static_cast<double>(cascade.cascade.activations.size()));
+    runner.metrics().gauge("scenario.cascade_dependents")
+        .set(static_cast<double>(cascade.cascade.dependents));
+    runner.metrics().gauge("scenario.cascade_repairs")
+        .set(static_cast<double>(cascade.cascade.repairs));
+  }
+  attach_support(runner, support, options, cascading ? &cascade : nullptr);
   const core::Dataset dataset = runner.run_days(spec.days);
 
   HabitatSummary summary;
@@ -139,7 +147,7 @@ HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& optio
   summary.metrics = runner.report().metrics;
   summary.records_written = counter_value(summary.metrics, "badge.sd_records_written");
   if (const mesh::MeshNetwork* mesh = runner.mesh()) {
-    collect_trace_stats(*mesh, stale_after, summary);
+    collect_trace_stats(*mesh, options.stale_after, summary);
   }
   return summary;
 }

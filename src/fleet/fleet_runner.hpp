@@ -1,7 +1,8 @@
 // Running a campaign: the fleet of habitats, sharded across the pool.
 //
-// run_habitat() runs one fully-wired mission (runner + support system fed
-// from the mesh read view, the hs_trace wiring) and condenses it into a
+// attach_support() is the one wiring of a support system into a mission:
+// fed from the mesh read view, publishing its alerts back over the mesh.
+// run_habitat() runs one mission wired that way and condenses it into a
 // HabitatSummary. run_campaign() expands a CampaignSpec and runs every
 // habitat with one habitat per parallel_for shard — each MissionRunner is
 // self-contained (own registry, recorder, tracer, rng), so habitats never
@@ -16,6 +17,13 @@
 #include "fleet/campaign.hpp"
 #include "util/expected.hpp"
 #include "util/units.hpp"
+
+namespace hs::scenario {
+struct ExpandedScenario;
+}
+namespace hs::support {
+class SupportSystem;
+}
 
 namespace hs::fleet {
 
@@ -35,6 +43,18 @@ struct CampaignOptions {
   /// usually only need the mission-side telemetry.
   bool analyze = false;
 };
+
+/// Wire `support` into `runner`'s mission, in this order: its metrics go
+/// to the runner's registry, flight recorder and tracer; with a `cascade`,
+/// each day boundary applies the cascade's resource coupling to the
+/// ledger and closes the support day; and every `options.support_cadence`
+/// the mesh health snapshot (a badge silent for `options.stale_after`
+/// reads as dark) is ingested. Every alert either observer raises is
+/// published at the base station. The caller keeps `support` and
+/// `cascade` alive through the run.
+void attach_support(core::MissionRunner& runner, support::SupportSystem& support,
+                    const CampaignOptions& options,
+                    const scenario::ExpandedScenario* cascade = nullptr);
 
 /// Run one habitat's mission and condense it into its downlink summary.
 /// A pure function of (spec, options): same inputs, same summary bytes.

@@ -113,7 +113,7 @@ class TraceIndex {
   [[nodiscard]] TraceSummary summarize() const;
 
   /// Extract both latency families from the whole dump (the readout
-  /// bench/cascade_storm prototyped, shared with bench/latency_paths).
+  /// bench/latency_paths gates and trace_sampling_test pins).
   [[nodiscard]] PathLatencies path_latencies() const;
 
  private:

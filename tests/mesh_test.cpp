@@ -11,6 +11,7 @@
 #include <set>
 
 #include "core/runner.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "mesh/ballots.hpp"
 #include "mesh/chunk.hpp"
 #include "mesh/gossip.hpp"
@@ -479,18 +480,9 @@ TEST(MeshSupportMission, SupportIngestsHealthFromMeshView) {
   core::MissionRunner runner(config);
 
   support::SupportSystem support;
-  // Alerts the support system raises go back over the mesh too.
-  runner.add_observer([&support](const core::MissionView& view) {
-    if (view.now % minutes(5) != 0 || view.now == 0) return;
-    support.set_alert_sink([&view](const support::Alert& alert) {
-      (void)view.mesh->publish_alert(view.mesh->base_station_id(), alert, view.now);
-    });
-    const MeshReadView mesh_view(*view.mesh);
-    for (const auto& health : mesh_view.health_snapshot(view.now, minutes(10))) {
-      support.ingest_badge(health);
-    }
-    support.set_alert_sink(nullptr);
-  });
+  // Every habitat's wiring: a health snapshot every five minutes, and the
+  // alerts the support system raises go back over the mesh too.
+  fleet::attach_support(runner, support, fleet::CampaignOptions{});
   (void)runner.run_days(4);
 
   EXPECT_GE(support.alert_count(support::AlertKind::kBatteryLow), 1u);

@@ -22,6 +22,7 @@
 
 #include "core/runner.hpp"
 #include "fleet/campaign.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "mesh/read_view.hpp"
 #include "obs/trace_query.hpp"
 #include "scenario/scenario.hpp"
@@ -33,10 +34,12 @@ namespace {
 struct StormTrace {
   obs::TraceMeta meta;
   std::vector<obs::TraceSpan> spans;
+  std::size_t mesh_alerts = 0;  ///< alerts in the replicated store at mission end
 };
 
-/// One instrumented 2-day power-storm habitat (the cascade_storm phase-2
-/// wiring) with the given trace keep threshold.
+/// One instrumented 2-day power-storm habitat, its support system wired
+/// as every habitat's is (fleet::attach_support), with the given trace
+/// keep threshold.
 StormTrace run_storm(std::uint64_t seed, std::uint32_t keep_millionths) {
   fleet::HabitatSpec spec;
   spec.seed = seed;
@@ -46,24 +49,13 @@ StormTrace run_storm(std::uint64_t seed, std::uint32_t keep_millionths) {
   config.trace_keep_millionths = keep_millionths;
   core::MissionRunner runner(config);
   support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
   const auto preset = scenario::scenario_preset(spec.cascade, seed);
   const auto expanded = scenario::expand_scenario(*preset, seed);
   EXPECT_TRUE(expanded.has_value());
-  runner.add_observer([&support, &expanded](const core::MissionView& view) {
-    if (view.now != 0 && view.now % kDay == 0) {
-      expanded->coupling.apply_day(mission_day(view.now - 1), support.resources());
-      support.end_of_day(view.now);
-    }
-    if (view.mesh != nullptr && view.now % minutes(5) == 0 && view.now != 0) {
-      const mesh::MeshReadView mesh_view(*view.mesh);
-      for (const auto& health : mesh_view.health_snapshot(view.now, minutes(10))) {
-        support.ingest_badge(health);
-      }
-    }
-  });
+  fleet::attach_support(runner, support, fleet::CampaignOptions{}, &*expanded);
   (void)runner.run_days(spec.days);
-  return StormTrace{runner.tracer().meta(), runner.tracer().spans()};
+  return StormTrace{runner.tracer().meta(), runner.tracer().spans(),
+                    mesh::MeshReadView(*runner.mesh()).alerts().size()};
 }
 
 class TraceSamplingScenario : public ::testing::TestWithParam<std::uint64_t> {};
@@ -73,6 +65,7 @@ TEST_P(TraceSamplingScenario, SampledDumpIsTheStoryFilterOfTheFullDump) {
   const StormTrace full = run_storm(seed, obs::Tracer::kSampleScale);
   const StormTrace half = run_storm(seed, obs::Tracer::kSampleScale / 2);
   ASSERT_FALSE(full.spans.empty());
+  EXPECT_GT(full.mesh_alerts, 0U) << "the storm's alerts never reached the mesh";
 
   // Precondition for the filter identity: nothing was dropped at full
   // sampling, so budgets and the cap never bound at this scenario size.

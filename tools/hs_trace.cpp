@@ -19,6 +19,9 @@
 //
 // --seed, --days and --sample take one whole number each (hs::parse_number:
 // no trailing junk, no sign on the seed); --days is at least 1.
+// --follow-chunk takes two whole numbers joined by a colon and
+// --critical-path one; both also take `auto`. A malformed value exits 1,
+// naming the flag, before any mission runs.
 //
 // Exit status: 0 on success; 1 on usage/parse errors, a lineage that is
 // not durably complete, or a missing alert — so CI can assert causality
@@ -29,11 +32,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/runner.hpp"
 #include "faults/fault_plan.hpp"
-#include "mesh/read_view.hpp"
+#include "fleet/fleet_runner.hpp"
 #include "obs/obs.hpp"
 #include "support/system.hpp"
 #include "util/strings.hpp"
@@ -49,8 +53,11 @@ struct Options {
   int days = 7;
   int sample_percent = 100;  ///< --scenario trace sampling (0..100)
   bool summarize = false;
-  std::string follow_chunk;  ///< "ORIGIN:SEQ" or "auto"
-  std::string critical_path; ///< alert index or "auto"
+  bool follow_chunk = false;       ///< --follow-chunk given
+  std::int64_t chunk_origin = -1;  ///< with chunk_seq; -1 = auto
+  std::int64_t chunk_seq = -1;
+  bool critical_path = false;      ///< --critical-path given
+  std::int64_t alert = -1;         ///< -1 = auto
   std::string perfetto_out;
 };
 
@@ -60,6 +67,13 @@ void usage(std::FILE* to) {
                "                [--seed N] [--days D] [--sample PERCENT] [--summarize]\n"
                "                [--follow-chunk ORIGIN:SEQ|auto] [--critical-path INDEX|auto]\n"
                "                [--export-perfetto out.json]\n");
+}
+
+/// "ORIGIN:SEQ", each a whole number.
+bool parse_chunk(std::string_view text, std::int64_t& origin, std::int64_t& seq) {
+  const std::size_t colon = text.find(':');
+  return colon != std::string_view::npos && parse_number(text.substr(0, colon), origin) &&
+         parse_number(text.substr(colon + 1), seq) && origin >= 0 && seq >= 0;
 }
 
 bool parse_args(int argc, char** argv, Options& opt) {
@@ -102,10 +116,24 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.summarize = true;
     } else if (std::strcmp(arg, "--follow-chunk") == 0) {
       if ((v = value(i)) == nullptr) return false;
-      opt.follow_chunk = v;
+      opt.follow_chunk = true;
+      opt.chunk_origin = opt.chunk_seq = -1;
+      if (std::strcmp(v, "auto") != 0 && !parse_chunk(v, opt.chunk_origin, opt.chunk_seq)) {
+        std::fprintf(stderr,
+                     "hs_trace: --follow-chunk wants ORIGIN:SEQ (two whole numbers) or auto, "
+                     "got '%s'\n",
+                     v);
+        return false;
+      }
     } else if (std::strcmp(arg, "--critical-path") == 0) {
       if ((v = value(i)) == nullptr) return false;
-      opt.critical_path = v;
+      opt.critical_path = true;
+      opt.alert = -1;
+      if (std::strcmp(v, "auto") != 0 && (!parse_number(v, opt.alert) || opt.alert < 0)) {
+        std::fprintf(stderr, "hs_trace: --critical-path wants an alert index or auto, got '%s'\n",
+                     v);
+        return false;
+      }
     } else if (std::strcmp(arg, "--export-perfetto") == 0) {
       if ((v = value(i)) == nullptr) return false;
       opt.perfetto_out = v;
@@ -121,16 +149,16 @@ bool parse_args(int argc, char** argv, Options& opt) {
     std::fprintf(stderr, "hs_trace: exactly one of --input / --scenario is required\n");
     return false;
   }
-  if (!opt.summarize && opt.follow_chunk.empty() && opt.critical_path.empty() &&
-      opt.perfetto_out.empty()) {
+  if (!opt.summarize && !opt.follow_chunk && !opt.critical_path && opt.perfetto_out.empty()) {
     opt.summarize = true;
   }
   return true;
 }
 
-/// Run the named scenario and return its trace dump (CSV). The wiring is
-/// the canonical mesh-mission shape: support system fed from the mesh
-/// read view every five minutes, alerts published back over the mesh.
+/// Run the named scenario and return its trace dump (CSV). The support
+/// system is wired as every habitat runs it (fleet::attach_support): fed
+/// from the mesh read view every five minutes, alerts published back over
+/// the mesh.
 bool run_scenario(const Options& opt, std::string& trace_csv, int& replication_factor) {
   core::MissionConfig config;
   config.seed = opt.seed;
@@ -149,22 +177,7 @@ bool run_scenario(const Options& opt, std::string& trace_csv, int& replication_f
 
   core::MissionRunner runner(config);
   support::SupportSystem support;
-  support.set_metrics(&runner.metrics(), &runner.flight_recorder(), &runner.tracer());
-  // health_snapshot is O(badges) per call (the mesh's incremental
-  // newest-chunk index), so the cadence is purely a policy choice: a
-  // check every five minutes is plenty for the battery/sensor-loss
-  // monitors without flooding the alert log.
-  runner.add_observer([&support](const core::MissionView& view) {
-    if (view.now % minutes(5) != 0 || view.now == 0) return;
-    support.set_alert_sink([&view](const support::Alert& alert) {
-      (void)view.mesh->publish_alert(view.mesh->base_station_id(), alert, view.now);
-    });
-    const mesh::MeshReadView mesh_view(*view.mesh);
-    for (const auto& health : mesh_view.health_snapshot(view.now, minutes(10))) {
-      support.ingest_badge(health);
-    }
-    support.set_alert_sink(nullptr);
-  });
+  fleet::attach_support(runner, support, fleet::CampaignOptions{});
   std::fprintf(stderr, "hs_trace: running %s, seed %llu, days 1-%d...\n", opt.scenario.c_str(),
                static_cast<unsigned long long>(opt.seed), opt.days);
   (void)runner.run_days(opt.days);
@@ -216,10 +229,10 @@ int main(int argc, char** argv) {
     std::fputs(obs::format_trace_meta(meta).c_str(), stdout);
   }
 
-  if (!opt.follow_chunk.empty()) {
-    std::int64_t origin = -1;
-    std::int64_t seq = -1;
-    if (opt.follow_chunk == "auto") {
+  if (opt.follow_chunk) {
+    std::int64_t origin = opt.chunk_origin;
+    std::int64_t seq = opt.chunk_seq;
+    if (origin < 0) {
       if (const auto first = index.first_acked_chunk()) {
         origin = first->first;
         seq = first->second;
@@ -227,11 +240,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "hs_trace: no acked chunk in the trace\n");
         return 1;
       }
-    } else if (std::sscanf(opt.follow_chunk.c_str(), "%lld:%lld",
-                           reinterpret_cast<long long*>(&origin),
-                           reinterpret_cast<long long*>(&seq)) != 2) {
-      std::fprintf(stderr, "hs_trace: --follow-chunk wants ORIGIN:SEQ or auto\n");
-      return 1;
     }
     const obs::ChunkLineage lineage = index.follow_chunk(origin, seq);
     std::fputs(obs::format_lineage(lineage).c_str(), stdout);
@@ -244,9 +252,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.critical_path.empty()) {
-    std::int64_t alert = -1;
-    if (opt.critical_path == "auto") {
+  if (opt.critical_path) {
+    std::int64_t alert = opt.alert;
+    if (alert < 0) {
       // Prefer an alert with chunk evidence (a badge-health raise): it has
       // the full record -> raise chain worth printing.
       const auto indices = index.alert_indices();
@@ -274,8 +282,6 @@ int main(int argc, char** argv) {
         }
         return 1;
       }
-    } else {
-      alert = std::atoll(opt.critical_path.c_str());
     }
     const obs::AlertPath path = index.critical_path(alert);
     std::fputs(obs::format_alert_path(path, &meta).c_str(), stdout);
