@@ -4,17 +4,22 @@
 // every number on their command line through parse_arg; icares_replay
 // and perf_pipeline run the canonical 14-day ICAres-1 mission. The perf
 // and determinism harnesses time with seconds_since and explain a dump
-// mismatch with report_diff, so every gate times and diffs the same way.
+// mismatch with report_diff, and the two throughput gates read their
+// checked-in baseline with baseline_rate and judge it with
+// gate_on_baseline, so every gate times, diffs and gates the same way.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/analysis.hpp"
 #include "core/runner.hpp"
@@ -80,6 +85,60 @@ inline bool find_number(const std::string& text, const std::string& key, std::si
     std::exit(1);
   }
   return true;
+}
+
+/// A throughput gate fails below this fraction of its recorded baseline:
+/// the same 25 % bound as BENCHMARK.json, since identical work moves
+/// 10-30 % between processes on a shared host.
+constexpr double kGateFloor = 0.75;
+
+/// The serial rate that the flat baseline file `path` in the working
+/// directory records under `rate_key`, when each `match` key records this
+/// run's value; 0 (not gated, and a line saying why) when there is no
+/// file, a key is absent, a match key records another run, or the rate is
+/// not positive. `run` names the run in that line. Every key is read with
+/// find_number, so call this before any mission runs: a malformed value
+/// exits 1.
+inline double baseline_rate(const char* path, const char* rate_key,
+                            std::initializer_list<std::pair<const char*, double>> match,
+                            const std::string& run) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::printf("# no %s in the working directory; not gating\n", path);
+    return 0.0;
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  bool found = true;
+  bool same_run = true;
+  for (const auto& [key, value] : match) {
+    double recorded = 0.0;
+    found = found && find_number(text.str(), key, 0, recorded, path);
+    same_run = same_run && recorded == value;
+  }
+  double rate = 0.0;
+  if (!found || !find_number(text.str(), rate_key, 0, rate, path) || !same_run || rate <= 0.0) {
+    std::printf("# %s has no baseline for %s; not gating\n", path, run.c_str());
+    return 0.0;
+  }
+  return rate;
+}
+
+/// Gate a serial `rate` (in `unit`) against the `base_rate` read from
+/// `path`: 2 when it falls below kGateFloor x the baseline, else 0 (also
+/// when base_rate is 0, an ungated run). `what` names the measured layer.
+inline int gate_on_baseline(double base_rate, double rate, const char* path, const char* unit,
+                            const char* what) {
+  if (base_rate <= 0.0) return 0;
+  const double ratio = rate / base_rate;
+  std::printf("# serial %.3f %s vs %s %.3f: %.2fx (floor %.2fx)\n", rate, unit, path, base_rate,
+              ratio, kGateFloor);
+  if (ratio < kGateFloor) {
+    std::printf("# REGRESSION: serial %s more than %.0f%% below the baseline\n", what,
+                100.0 * (1.0 - kGateFloor));
+    return 2;
+  }
+  return 0;
 }
 
 /// Print to stderr the first line where the serial dump `a` and the

@@ -22,92 +22,41 @@
 // it records, a plain (no --analyze) run exits 2 if the serial pass's
 // habitat-days/s falls below 0.75 x the recorded median. The baseline is
 // read before any campaign runs: a value in it that is not a number
-// exits 1, naming the key, and a malformed argument exits 1 with usage.
+// exits 1, naming the key, and so does a malformed argument, naming the
+// argument (bench::parse_arg).
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_common.hpp"
 #include "fleet/fleet_runner.hpp"
-#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace hs;
-using bench::find_number;
+using bench::baseline_rate;
+using bench::gate_on_baseline;
+using bench::parse_arg;
 using bench::report_diff;
 using bench::seconds_since;
 
-namespace {
-
 constexpr const char* kBaselinePath = "BENCH_mission.json";
-constexpr double kGateFloor = 0.75;
-
-/// The serial habitat-days/s that the checked-in baseline records for
-/// this habitats/days/seed, or 0 when there is none (no file, or another
-/// run recorded). Exits 1 when a value in the file is malformed.
-double baseline_rate(int habitats, int days, std::uint64_t seed) {
-  std::ifstream in(kBaselinePath, std::ios::binary);
-  if (!in) {
-    std::printf("# no %s in the working directory; not gating\n", kBaselinePath);
-    return 0.0;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  double base_habitats = 0.0;
-  double base_days = 0.0;
-  double base_seed = -1.0;
-  double base_rate = 0.0;
-  if (!find_number(text.str(), "habitats", 0, base_habitats, kBaselinePath) ||
-      !find_number(text.str(), "days", 0, base_days, kBaselinePath) ||
-      !find_number(text.str(), "seed", 0, base_seed, kBaselinePath) ||
-      !find_number(text.str(), "serial_habitat_days_per_s", 0, base_rate, kBaselinePath) ||
-      base_habitats != habitats || base_days != days || base_seed != static_cast<double>(seed) ||
-      base_rate <= 0.0) {
-    std::printf("# %s has no baseline for %d habitats x %d day(s), seed %llu; not gating\n",
-                kBaselinePath, habitats, days, static_cast<unsigned long long>(seed));
-    return 0.0;
-  }
-  return base_rate;
-}
-
-/// Gate the serial pass's habitat-days/s against the baseline rate.
-/// Returns 2 below the floor, 0 otherwise (also when base_rate is 0).
-int gate_on_baseline(double base_rate, double serial_rate) {
-  if (base_rate <= 0.0) return 0;
-  const double ratio = serial_rate / base_rate;
-  std::printf("# serial %.3f habitat-days/s vs %s %.3f: %.2fx (floor %.2fx)\n", serial_rate,
-              kBaselinePath, base_rate, ratio, kGateFloor);
-  if (ratio < kGateFloor) {
-    std::printf("# REGRESSION: serial mission throughput more than 25%% below the baseline\n");
-    return 2;
-  }
-  return 0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  bool analyze = false;
-  if (argc > 1 && std::string(argv[1]) == "--analyze") {
-    analyze = true;
-    --argc;
-    ++argv;
-  }
-  int habitats = 200;
-  int days = 1;
-  std::uint64_t seed = 42;
-  const char* dump_path = argc > 4 ? argv[4] : nullptr;
-  if ((argc > 1 && !parse_number(argv[1], habitats)) ||
-      (argc > 2 && !parse_number(argv[2], days)) || (argc > 3 && !parse_number(argv[3], seed)) ||
-      habitats < 1 || days < 1) {
-    std::fprintf(stderr,
-                 "usage: fleet_scale [--analyze] [habitats>=1] [days>=1] [seed] [dump.csv]\n");
-    return 1;
-  }
+  const bool analyze = argc > 1 && std::string(argv[1]) == "--analyze";
+  const int first = analyze ? 2 : 1;  // argv index of habitats
+  const int habitats = argc > first ? parse_arg(argv, first, "habitats", 1) : 200;
+  const int days = argc > first + 1 ? parse_arg(argv, first + 1, "days", 1) : 1;
+  const std::uint64_t seed =
+      argc > first + 2 ? parse_arg<std::uint64_t>(argv, first + 2, "seed", 0) : 42;
+  const char* dump_path = argc > first + 3 ? argv[first + 3] : nullptr;
   // A plain run is gated; read the baseline before the campaign runs.
-  const double base_rate = analyze ? 0.0 : baseline_rate(habitats, days, seed);
+  const double base_rate =
+      analyze ? 0.0
+              : baseline_rate(kBaselinePath, "serial_habitat_days_per_s",
+                              {{"habitats", habitats}, {"days", days},
+                               {"seed", static_cast<double>(seed)}},
+                              std::to_string(habitats) + " habitats x " + std::to_string(days) +
+                                  " day(s), seed " + std::to_string(seed));
 
   fleet::CampaignSpec spec;
   spec.name = "fleet-scale";
@@ -171,5 +120,6 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
   // The baseline times the campaign without analysis; base_rate is 0 then.
-  return gate_on_baseline(base_rate, static_cast<double>(habitats) * days / serial_wall);
+  return gate_on_baseline(base_rate, static_cast<double>(habitats) * days / serial_wall,
+                          kBaselinePath, "habitat-days/s", "mission throughput");
 }

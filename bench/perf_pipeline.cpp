@@ -37,8 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -56,10 +54,6 @@ using hs::core::AnalysisPipeline;
 using hs::core::PipelineOptions;
 
 constexpr const char* kBaselinePath = "BENCH_pipeline.json";
-/// Serial records/sec below this fraction of the baseline exits 2. The
-/// same 25 % bound as BENCHMARK.json: identical work moves 10-30 %
-/// between processes on a shared host.
-constexpr double kGateFloor = 0.75;
 
 struct Timed {
   double seconds = 0.0;
@@ -260,43 +254,6 @@ int run_large(std::size_t records, int reps, std::uint64_t seed) {
   return same ? 0 : 1;
 }
 
-/// The serial records/sec the mission baseline records for `seed`, or 0
-/// when there is none. Read before the mission runs; exits 1 when a
-/// value in the file is malformed.
-double baseline_rate(std::uint64_t seed) {
-  std::ifstream in(kBaselinePath, std::ios::binary);
-  if (!in) {
-    std::printf("  no %s in the working directory; not gating\n", kBaselinePath);
-    return 0.0;
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  double base_seed = -1.0;
-  double base_rate = 0.0;
-  if (!hs::bench::find_number(text.str(), "seed", 0, base_seed, kBaselinePath) ||
-      !hs::bench::find_number(text.str(), "serial_records_per_s", 0, base_rate, kBaselinePath) ||
-      base_seed != static_cast<double>(seed) || base_rate <= 0.0) {
-    std::printf("  %s has no mission baseline for seed %llu; not gating\n", kBaselinePath,
-                static_cast<unsigned long long>(seed));
-    return 0.0;
-  }
-  return base_rate;
-}
-
-/// Gate serial records/sec against the baseline rate. Returns 2 on a
-/// regression past the floor, 0 otherwise (including when base_rate is 0).
-int gate_on_baseline(double base_rate, double serial_rate) {
-  if (base_rate <= 0.0) return 0;
-  const double ratio = serial_rate / base_rate;
-  std::printf("  serial vs %s: %.0f records/s baseline, %.2fx (floor %.2fx)\n", kBaselinePath,
-              base_rate, ratio, kGateFloor);
-  if (ratio < kGateFloor) {
-    std::printf("  REGRESSION: serial analysis more than 25%% below the baseline\n");
-    return 2;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -312,7 +269,9 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = hs::bench::seed_from_args(argc, argv);
   const unsigned threads = argc > 2 ? static_cast<unsigned>(parse_arg(argv, 2, "threads", 0)) : 4;
   const int reps = argc > 3 ? parse_arg(argv, 3, "reps", 1) : 3;
-  const double base_rate = baseline_rate(seed);
+  const double base_rate = hs::bench::baseline_rate(kBaselinePath, "serial_records_per_s",
+                                                    {{"seed", static_cast<double>(seed)}},
+                                                    "seed " + std::to_string(seed));
   const auto data = hs::bench::run_mission(argc, argv);
   const unsigned resolved = hs::util::resolve_threads(threads);
   const std::size_t total = dataset_records(data);
@@ -340,5 +299,6 @@ int main(int argc, char** argv) {
   if (serial.metrics_csv != par.metrics_csv) report_diff(serial.metrics_csv, par.metrics_csv);
   if (serial.trace_csv != par.trace_csv) report_diff(serial.trace_csv, par.trace_csv);
   if (!diffs.empty() || !dumps) return 1;
-  return gate_on_baseline(base_rate, serial_rate);
+  return hs::bench::gate_on_baseline(base_rate, serial_rate, kBaselinePath, "records/s",
+                                     "analysis");
 }

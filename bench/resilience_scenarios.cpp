@@ -1,12 +1,22 @@
-// Resilience scenarios: the preset fault plans run against the full
-// mission, with per-fault recovery metrics — when each fault activated
-// and cleared, how fast the live support system noticed (for the fault
-// classes it can see), and what the dataset lost (records dropped at
-// write time, records truncated at collection, analysis-visible gaps).
+// Resilience scenarios: fault plans run against the full mission, with
+// per-fault recovery metrics — when each fault activated and cleared, how
+// fast the live support system noticed (for the fault classes it can
+// see), and what the dataset lost (records dropped at write time, records
+// truncated at collection, and per badge the longest gap and the clock
+// fit the analysis had to make).
 //
-// docs/RESILIENCE.md documents the taxonomy; tests/faults_test.cpp pins
-// the per-kind degradation contracts this harness reports on.
+//   resilience_scenarios [seed=42]             # the six preset plans
+//   resilience_scenarios [seed=42] plan.txt    # replay one plan file
+//
+// A plan file is written in the fault DSL. One that cannot be read, or
+// does not parse, exits 1 before any mission runs, naming the path or the
+// DSL's line. docs/RESILIENCE.md documents the taxonomy and the DSL;
+// tests/faults_test.cpp pins the per-kind degradation contracts this
+// harness reports on.
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,6 +109,14 @@ void run_plan(const faults::FaultPlan& plan, std::uint64_t seed) {
   for (const auto& badge : gaps.badges) records += badge.records;
   std::printf("dataset: %zu records kept, %zu dropped (write faults), %zu truncated (collection)\n",
               records, gaps.total_dropped, gaps.total_truncated);
+  std::printf("  %-7s %9s %9s %9s %7s %9s  %s\n", "badge", "records", "dropped", "truncated",
+              "gap(s)", "resid(ms)", "clock fit");
+  for (io::BadgeId id = 0; id < 6; ++id) {
+    const auto& badge = gaps.badges.at(id);
+    std::printf("  %-7d %9zu %9zu %9zu %7.0f %9.1f  %s\n", int{id}, badge.records,
+                badge.dropped_records, badge.truncated_records, badge.longest_gap_s,
+                badge.fit_residual_ms, badge.fit_stepped ? "piecewise (step absorbed)" : "linear");
+  }
   std::printf("alerts:  battery-low=%zu sensor-loss=%zu (of %zu total)\n",
               support.alert_count(support::AlertKind::kBatteryLow),
               support.alert_count(support::AlertKind::kSensorLoss), support.alerts().size());
@@ -120,14 +138,34 @@ void run_plan(const faults::FaultPlan& plan, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using hs::faults::FaultPlan;
   const auto seed = hs::bench::seed_from_args(argc, argv);
-  std::printf("# Resilience scenarios: preset fault plans vs the full mission, seed %llu\n",
-              static_cast<unsigned long long>(seed));
-
-  run_plan(FaultPlan::day9_badge_swap(), seed);
-  run_plan(FaultPlan::battery_stress(), seed);
-  run_plan(FaultPlan::storage_stress(), seed);
-  run_plan(FaultPlan::infrastructure_stress(), seed);
-  run_plan(FaultPlan::clock_anomalies(), seed);
-  run_plan(FaultPlan::combined(seed), seed);
+  std::vector<FaultPlan> plans;
+  if (argc > 2) {
+    // A directory opens as a stream and reads as empty, which would parse
+    // as an empty plan; only a regular file is a plan file.
+    std::error_code ec;
+    std::ifstream in(argv[2]);
+    if (!std::filesystem::is_regular_file(argv[2], ec) || !in) {
+      std::fprintf(stderr, "resilience_scenarios: cannot read plan file %s\n", argv[2]);
+      return 1;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto parsed = FaultPlan::parse(text.str());
+    if (!parsed.has_value()) {
+      std::fprintf(stderr, "resilience_scenarios: %s: %s\n", argv[2],
+                   parsed.error().message.c_str());
+      return 1;
+    }
+    plans.push_back(std::move(*parsed));
+    std::printf("# Resilience scenarios: %s vs the full mission, seed %llu\n", argv[2],
+                static_cast<unsigned long long>(seed));
+  } else {
+    plans = {FaultPlan::day9_badge_swap(), FaultPlan::battery_stress(),
+             FaultPlan::storage_stress(),  FaultPlan::infrastructure_stress(),
+             FaultPlan::clock_anomalies(), FaultPlan::combined(seed)};
+    std::printf("# Resilience scenarios: preset fault plans vs the full mission, seed %llu\n",
+                static_cast<unsigned long long>(seed));
+  }
+  for (const auto& plan : plans) run_plan(plan, seed);
   return 0;
 }

@@ -1,8 +1,13 @@
-// Section VI scenarios: the mission support system running live against
-// the simulated mission — anomaly alerts, the day-11 resource shortage
-// forecast, the day-12 delayed-command conflict, and a consensus-gated
-// system change. This harness exercises the support subsystem the paper's
-// second contribution calls for.
+// Section VI, reproduced from one mission: the mission support system
+// running live against the simulated 14-day mission — anomaly alerts, the
+// day-11 ration cut and the food forecast either side of it, the day-12
+// delayed-command conflict — and then, on the system that run leaves
+// behind, a consensus-gated system change (six crew votes, then mission
+// control's) and the ability-routed deliveries of the day-12 alert.
+// EXPERIMENTS.md's Section VI table is read off this output.
+//
+//   support_scenarios [seed=42]
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -21,18 +26,25 @@ int main(int argc, char** argv) {
 
   support::SupportSystem system;
   int last_day = 0;
+  SimTime last_tick = 0;
+  double food_before_cut = 0.0;
+  double food_after_cut = 0.0;
   // The support system consumes live per-second features. Room and
   // speaking state come from the simulator's ground truth here, which the
   // paper's results justify treating as what the badges deliver: room
   // detection was "perfect" and speech detection is the calibrated 60 dB
   // rule (the offline pipeline demonstrates both).
   runner.add_observer([&](const core::MissionView& view) {
+    last_tick = view.now;
     const int day = mission_day(view.now);
     if (day != last_day) {
       if (last_day >= 2) system.end_of_day(view.now);
       // The scripted ration cut: from day 11 the crew eats < 500 kcal.
       if (day == view.crew->script().food_shortage_day) {
-        system.resources().set_ration(support::Resource::kFoodKcal, 500.0 / 2500.0);
+        auto& resources = system.resources();
+        food_before_cut = resources.days_remaining(support::Resource::kFoodKcal, crew::kCrewSize);
+        resources.set_ration(support::Resource::kFoodKcal, 500.0 / 2500.0);
+        food_after_cut = resources.days_remaining(support::Resource::kFoodKcal, crew::kCrewSize);
         system.conflicts().record_local_decision(view.now, "crew imposed 500 kcal rations");
       }
       last_day = day;
@@ -79,6 +91,41 @@ int main(int argc, char** argv) {
                     support::AlertKind::kGroupTension, support::AlertKind::kUnplannedGathering,
                     support::AlertKind::kResourceShortage, support::AlertKind::kCommandConflict}) {
     std::printf("  %-22s %zu\n", support::alert_kind_name(kind), system.alert_count(kind));
+  }
+
+  std::printf("\nFood horizon at the day-11 ration cut (500 kcal/person/day):\n");
+  std::printf("  before the cut: %.0f days\n", food_before_cut);
+  std::printf("  after the cut:  %.0f days\n", food_after_cut);
+
+  // A system change needs every teammate's and mission control's approval
+  // (Section VI-C3); mission control's vote crosses the 20-minute link.
+  const SimTime t0 = last_tick + kSecond;
+  auto& changes = system.changes();
+  const auto proposal = changes.propose(t0, "disable microphones in the bedroom");
+  std::printf("\nConsensus approval: '%s'\n", changes.get(proposal)->description().c_str());
+  for (std::size_t i = 0; i < crew::kCrewSize; ++i) {
+    changes.vote(t0 + minutes(1 + static_cast<std::int64_t>(i)), proposal, i, true);
+  }
+  std::printf("  all six crew members approved; state: %s (mission control pending)\n",
+              support::proposal_state_name(changes.get(proposal)->state()));
+  changes.vote(t0 + minutes(45), proposal, support::kMissionControl, true);
+  std::printf("  mission control approved (20 min light delay); state: %s\n",
+              support::proposal_state_name(changes.get(proposal)->state()));
+
+  // Ability-based design: the same alert reaches each crew member through
+  // a modality they can use.
+  const auto& alerts = system.alerts();
+  const auto conflict = std::find_if(alerts.begin(), alerts.end(), [](const support::Alert& a) {
+    return a.kind == support::AlertKind::kCommandConflict;
+  });
+  if (conflict != alerts.end()) {
+    std::printf("\nAbility-routed deliveries of the %s %s alert:\n",
+                format_mission_time(conflict->time).c_str(),
+                support::alert_kind_name(conflict->kind));
+    for (const auto& d : system.interface_adapter().broadcast(*conflict)) {
+      std::printf("  %c <- %s\n", crew::astronaut_letter(d.astronaut), d.rendered.c_str());
+    }
+    std::printf("  (A is visually impaired: the adapter never routes visual signals to A.)\n");
   }
 
   std::printf("\nExpected scenario outcomes: an unplanned-gathering alert on day 4\n"

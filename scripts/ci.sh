@@ -36,13 +36,20 @@ case " $PRESETS " in
 esac
 
 # Reproduction smoke on the default build: icares_replay prints every
-# Section V artifact from one 14-day mission and must exit 0. (Cascade
-# campaign determinism is FleetDeterminism.CascadeCampaignIsByteIdentical*
-# in ctest; the storm habitat's latencies are gated by latency_paths.)
+# Section V artifact from one 14-day mission, support_scenarios every
+# Section VI behaviour from one live 14-day run, and quickstart (the
+# README's first command) a 3-day mission and its analysis; each must exit
+# 0. (Cascade campaign determinism is
+# FleetDeterminism.CascadeCampaignIsByteIdentical* in ctest; the storm
+# habitat's latencies are gated by latency_paths.)
 case " $PRESETS " in
   *" default "*)
     echo "=== [default] icares_replay smoke (seed 42) ==="
     ./build/bench/icares_replay 42 > /dev/null
+    echo "=== [default] support_scenarios smoke (seed 42) ==="
+    ./build/bench/support_scenarios 42 > /dev/null
+    echo "=== [default] quickstart smoke ==="
+    ./build/examples/quickstart > /dev/null
     ;;
 esac
 

@@ -2,36 +2,6 @@
 
 namespace hs::crew {
 
-const char* activity_name(Activity a) {
-  switch (a) {
-    case Activity::kSleep:
-      return "sleep";
-    case Activity::kBreakfast:
-      return "breakfast";
-    case Activity::kLunch:
-      return "lunch";
-    case Activity::kDinner:
-      return "dinner";
-    case Activity::kBreak:
-      return "break";
-    case Activity::kWork:
-      return "work";
-    case Activity::kEvaPrep:
-      return "eva-prep";
-    case Activity::kEva:
-      return "eva";
-    case Activity::kEvaPost:
-      return "eva-post";
-    case Activity::kBriefing:
-      return "briefing";
-    case Activity::kHygiene:
-      return "hygiene";
-    case Activity::kConsolation:
-      return "consolation";
-  }
-  return "?";
-}
-
 bool badge_prohibited(Activity a) {
   return a == Activity::kEva || a == Activity::kHygiene || a == Activity::kSleep;
 }

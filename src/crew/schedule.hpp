@@ -30,8 +30,6 @@ enum class Activity {
   kConsolation ///< scripted: unplanned gathering after C's death
 };
 
-const char* activity_name(Activity a);
-
 /// True when mission rules forbid wearing the badge during this activity
 /// (EVA in the outdoor suit, restrooms, physical exercise).
 bool badge_prohibited(Activity a);

@@ -224,12 +224,4 @@ void FaultInjector::note_cleared(std::size_t idx, SimTime now) {
   }
 }
 
-std::size_t FaultInjector::active_count() const {
-  std::size_t n = 0;
-  for (const auto& r : records_) {
-    if (r.activated_at >= 0 && r.cleared_at < 0) ++n;
-  }
-  return n;
-}
-
 }  // namespace hs::faults

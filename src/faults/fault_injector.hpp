@@ -57,9 +57,6 @@ class FaultInjector {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const std::vector<FaultRecord>& records() const { return records_; }
 
-  /// Faults currently active (activated, not yet cleared).
-  [[nodiscard]] std::size_t active_count() const;
-
  private:
   /// Record-keeping shared by every activation/recovery lambda.
   void note_activated(std::size_t idx, SimTime now);

@@ -104,12 +104,4 @@ std::vector<support::Alert> MeshReadView::alerts_at(NodeId node) const {
   return out;
 }
 
-std::size_t MeshReadView::record_chunk_count() const {
-  std::size_t count = 0;
-  for (const auto& [key, chunk] : mesh_->merged_store()) {
-    if (key.origin < kNodeOriginBase && chunk->kind == ChunkKind::kRecords) ++count;
-  }
-  return count;
-}
-
 }  // namespace hs::mesh

@@ -56,9 +56,6 @@ class MeshReadView {
   /// wired to that node would show (dissemination testing).
   [[nodiscard]] std::vector<support::Alert> alerts_at(NodeId node) const;
 
-  /// Total record chunks currently in the merged store.
-  [[nodiscard]] std::size_t record_chunk_count() const;
-
  private:
   const MeshNetwork* mesh_;
   obs::Tracer* tracer_;

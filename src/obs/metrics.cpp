@@ -103,33 +103,6 @@ std::string MetricsSnapshot::to_csv() const {
   return out;
 }
 
-std::string MetricsSnapshot::to_json() const {
-  std::string out = "[";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
-    if (i > 0) out += ',';
-    out += "\n  {\"name\":\"" + e.name + "\",\"kind\":\"";
-    out += e.kind;
-    out += "\",\"count\":" + std::to_string(e.count) + ",\"value\":" + format_double(e.value);
-    if (e.kind == 'h') {
-      out += ",\"bounds\":[";
-      for (std::size_t k = 0; k < e.bounds.size(); ++k) {
-        if (k > 0) out += ',';
-        out += format_double(e.bounds[k]);
-      }
-      out += "],\"buckets\":[";
-      for (std::size_t k = 0; k < e.buckets.size(); ++k) {
-        if (k > 0) out += ',';
-        out += std::to_string(e.buckets[k]);
-      }
-      out += ']';
-    }
-    out += '}';
-  }
-  out += "\n]\n";
-  return out;
-}
-
 Expected<MetricsSnapshot> MetricsSnapshot::from_csv(const std::string& text) {
   MetricsSnapshot snap;
   std::istringstream in(text);
@@ -235,16 +208,6 @@ Histogram& Registry::histogram(std::string_view name, std::vector<double> bounds
 const Counter* Registry::find_counter(std::string_view name) const {
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Gauge* Registry::find_gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram* Registry::find_histogram(std::string_view name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
 }
 
 MetricsSnapshot Registry::snapshot() const {

@@ -99,7 +99,6 @@ struct MetricsSnapshot {
 
   [[nodiscard]] const SnapshotEntry* find(std::string_view name) const;
   [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] std::string to_json() const;
   [[nodiscard]] static Expected<MetricsSnapshot> from_csv(const std::string& text);
 
   /// Fold `other` into this snapshot (the fleet roll-up): counters and
@@ -130,8 +129,6 @@ class Registry {
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
 
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();

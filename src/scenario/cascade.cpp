@@ -185,55 +185,4 @@ CascadeResult CascadeEngine::expand(const std::vector<RootFailure>& roots,
   return result;
 }
 
-std::ptrdiff_t CascadeEngine::component_for(const faults::FaultSpec& spec) const {
-  const auto& components = graph_.components();
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    const Component& c = components[i];
-    switch (spec.kind) {
-      case faults::FaultKind::kBeaconOutage:
-        if ((c.kind == ComponentKind::kBeaconCluster || c.kind == ComponentKind::kMeshNode) &&
-            std::find(c.beacons.begin(), c.beacons.end(), spec.beacon) != c.beacons.end()) {
-          return static_cast<std::ptrdiff_t>(i);
-        }
-        break;
-      case faults::FaultKind::kBatteryDeath:
-        if (c.kind == ComponentKind::kBadgeCharger && c.badge == spec.badge) {
-          return static_cast<std::ptrdiff_t>(i);
-        }
-        break;
-      case faults::FaultKind::kRadioDegradation:
-        if (c.kind == ComponentKind::kLocalization && c.band == spec.band) {
-          return static_cast<std::ptrdiff_t>(i);
-        }
-        break;
-      default:
-        break;
-    }
-  }
-  return -1;
-}
-
-CascadeResult CascadeEngine::expand(const faults::FaultPlan& roots) const {
-  std::vector<RootFailure> mapped;
-  faults::FaultPlan passthrough;
-  for (const auto& spec : roots.faults()) {
-    const std::ptrdiff_t component = spec.duration > 0 ? component_for(spec) : -1;
-    if (component >= 0) {
-      mapped.push_back(RootFailure{static_cast<std::size_t>(component), spec.start,
-                                   spec.duration});
-    } else {
-      passthrough.add(spec);
-    }
-  }
-  CascadeResult result = expand(mapped, roots.name() + "-cascade");
-  if (!passthrough.empty()) {
-    // Unbound specs keep their place ahead of the cascade's emission.
-    faults::FaultPlan plan(result.plan.name());
-    for (const auto& spec : passthrough.faults()) plan.add(spec);
-    for (const auto& spec : result.plan.faults()) plan.add(spec);
-    result.plan = std::move(plan);
-  }
-  return result;
-}
-
 }  // namespace hs::scenario

@@ -83,16 +83,6 @@ class CascadeEngine {
   [[nodiscard]] CascadeResult expand(const std::vector<RootFailure>& roots,
                                      const std::string& plan_name) const;
 
-  /// The component owning the device a spec targets (beacon -> cluster or
-  /// mesh node, badge battery -> charger, band degradation ->
-  /// localization), or -1 when no component is bound to it.
-  [[nodiscard]] std::ptrdiff_t component_for(const faults::FaultSpec& spec) const;
-
-  /// Expand a flat plan through the graph: each windowed spec bound to a
-  /// component becomes a cascade root (the component's own emission
-  /// replaces the spec); unbound specs pass through verbatim.
-  [[nodiscard]] CascadeResult expand(const faults::FaultPlan& roots) const;
-
  private:
   [[nodiscard]] double edge_unit(std::size_t edge, std::uint64_t ordinal) const;
   void emit_faults(const Component& component, SimTime at, SimTime until,

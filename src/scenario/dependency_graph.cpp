@@ -120,7 +120,7 @@ Status DependencyGraph::validate() const {
   return Status::success();
 }
 
-DependencyGraph generate_topology(std::uint64_t seed, const TopologyParams& params) {
+DependencyGraph generate_topology(std::uint64_t seed) {
   // Stream-tagged fork of the seed so topology draws are independent of
   // any other consumer of the same mission seed.
   Rng rng(seed ^ 0x70B0106ECA5CADEFULL);
@@ -136,20 +136,17 @@ DependencyGraph generate_topology(std::uint64_t seed, const TopologyParams& para
                                              rng.uniform_int(0, (hi_pct - lo_pct) / 5))) /
            100.0;
   };
+  Component loc;
+  loc.name = "loc-ble";
+  loc.kind = ComponentKind::kLocalization;
+  loc.band = io::Band::kBle24;
+  loc.db = static_cast<double>(10 + rng.uniform_int(0, 10));
+  loc.power_kwh_day = 0.0;
+  loc.repair = minutes_q(30, 60, 15);
+  const std::string loc_name = loc.name;
+  (void)graph.add_component(std::move(loc));
   int next_beacon = 0;
-  std::string loc_name;
-  if (params.localization) {
-    Component loc;
-    loc.name = "loc-ble";
-    loc.kind = ComponentKind::kLocalization;
-    loc.band = io::Band::kBle24;
-    loc.db = static_cast<double>(10 + rng.uniform_int(0, 10));
-    loc.power_kwh_day = 0.0;
-    loc.repair = minutes_q(30, 60, 15);
-    loc_name = loc.name;
-    (void)graph.add_component(std::move(loc));
-  }
-  for (int b = 0; b < params.buses; ++b) {
+  for (int b = 0; b < 2; ++b) {
     Component bus;
     bus.name = "bus-" + std::to_string(b);
     bus.kind = ComponentKind::kPowerBus;
@@ -158,46 +155,40 @@ DependencyGraph generate_topology(std::uint64_t seed, const TopologyParams& para
     bus.repair = minutes_q(60, 150, 30);
     (void)graph.add_component(std::move(bus));
     std::string first_cluster;
-    for (int c = 0; c < params.clusters_per_bus; ++c) {
+    for (int c = 0; c < 2; ++c) {
       Component cluster;
       cluster.name = "cluster-" + std::to_string(b) + "-" + std::to_string(c);
       cluster.kind = ComponentKind::kBeaconCluster;
       const int span = 2 + static_cast<int>(rng.uniform_int(0, 2));
-      for (int k = 0; k < span && next_beacon < 27; ++k) cluster.beacons.push_back(next_beacon++);
-      if (cluster.beacons.empty()) break;  // beacon space exhausted
+      for (int k = 0; k < span; ++k) cluster.beacons.push_back(next_beacon++);
       cluster.power_kwh_day = static_cast<double>(30 + 10 * rng.uniform_int(0, 5));
       cluster.repair = minutes_q(30, 60, 15);
       const std::string name = cluster.name;
       (void)graph.add_component(std::move(cluster));
       (void)graph.add_edge("bus-" + std::to_string(b), name, minutes_q(5, 30, 5),
                            prob_q(60, 100));
-      if (first_cluster.empty()) first_cluster = name;
+      if (c == 0) first_cluster = name;
     }
-    if (first_cluster.empty()) continue;
-    if (next_beacon < 27) {
-      Component relay;
-      relay.name = "relay-" + std::to_string(b);
-      relay.kind = ComponentKind::kMeshNode;
-      relay.beacons.push_back(next_beacon++);
-      relay.power_kwh_day = static_cast<double>(10 + 10 * rng.uniform_int(0, 2));
-      relay.repair = minutes_q(30, 45, 15);
-      const std::string name = relay.name;
-      (void)graph.add_component(std::move(relay));
-      (void)graph.add_edge(first_cluster, name, minutes_q(10, 40, 5), prob_q(55, 95));
+    Component relay;
+    relay.name = "relay-" + std::to_string(b);
+    relay.kind = ComponentKind::kMeshNode;
+    relay.beacons.push_back(next_beacon++);
+    relay.power_kwh_day = static_cast<double>(10 + 10 * rng.uniform_int(0, 2));
+    relay.repair = minutes_q(30, 45, 15);
+    const std::string name = relay.name;
+    (void)graph.add_component(std::move(relay));
+    (void)graph.add_edge(first_cluster, name, minutes_q(10, 40, 5), prob_q(55, 95));
 
-      Component charger;
-      charger.name = "charger-" + std::to_string(b);
-      charger.kind = ComponentKind::kBadgeCharger;
-      charger.badge = b % 6;
-      charger.power_kwh_day = static_cast<double>(5 + 5 * rng.uniform_int(0, 2));
-      charger.repair = minutes_q(30, 45, 15);
-      const std::string cname = charger.name;
-      (void)graph.add_component(std::move(charger));
-      (void)graph.add_edge(name, cname, minutes_q(15, 45, 15), prob_q(50, 90));
-    }
-    if (!loc_name.empty()) {
-      (void)graph.add_edge(first_cluster, loc_name, minutes_q(10, 40, 10), prob_q(55, 95));
-    }
+    Component charger;
+    charger.name = "charger-" + std::to_string(b);
+    charger.kind = ComponentKind::kBadgeCharger;
+    charger.badge = b;
+    charger.power_kwh_day = static_cast<double>(5 + 5 * rng.uniform_int(0, 2));
+    charger.repair = minutes_q(30, 45, 15);
+    const std::string cname = charger.name;
+    (void)graph.add_component(std::move(charger));
+    (void)graph.add_edge(name, cname, minutes_q(15, 45, 15), prob_q(50, 90));
+    (void)graph.add_edge(first_cluster, loc_name, minutes_q(10, 40, 10), prob_q(55, 95));
   }
   return graph;
 }

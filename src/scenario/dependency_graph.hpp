@@ -95,19 +95,11 @@ class DependencyGraph {
   std::vector<DependencyEdge> edges_;
 };
 
-/// Shape knobs for seeded topology generation.
-struct TopologyParams {
-  int buses = 2;             ///< independent power buses (cascade roots)
-  int clusters_per_bus = 2;  ///< beacon clusters fed by each bus
-  bool localization = true;  ///< add a habitat-wide localization sink
-};
-
-/// A seeded habitat topology: per bus, a chain of beacon clusters, a mesh
-/// relay node and a badge charger, optionally converging on a shared
-/// localization-quality sink. Pure function of (seed, params): same
-/// inputs, same graph, byte for byte through the DSL. Beacon ids are
-/// assigned disjointly in [0, 26].
-[[nodiscard]] DependencyGraph generate_topology(std::uint64_t seed,
-                                                const TopologyParams& params = {});
+/// A seeded habitat topology: two power buses, each feeding two beacon
+/// clusters, a mesh relay node and a badge charger, all converging on a
+/// shared localization-quality sink. Pure function of the seed: same
+/// seed, same graph, byte for byte through the DSL. Beacon ids are
+/// assigned disjointly from 0 (at most 18 of the 27).
+[[nodiscard]] DependencyGraph generate_topology(std::uint64_t seed);
 
 }  // namespace hs::scenario

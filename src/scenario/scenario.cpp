@@ -299,10 +299,10 @@ ScenarioSpec ScenarioSpec::power_bus_storm() {
   return spec;
 }
 
-ScenarioSpec ScenarioSpec::generated(std::uint64_t seed, const TopologyParams& params) {
+ScenarioSpec ScenarioSpec::generated(std::uint64_t seed) {
   ScenarioSpec spec;
   spec.name = "generated-" + std::to_string(seed);
-  spec.graph = generate_topology(seed, params);
+  spec.graph = generate_topology(seed);
   // Root/repair draws fork a different stream tag than the topology's, so
   // the same seed never correlates graph shape with failure times.
   Rng rng(seed ^ 0x0F1A57A0CA5CADE5ULL);

@@ -64,10 +64,9 @@ struct ScenarioSpec {
 
   /// A seeded scenario over generate_topology(seed): per-bus root
   /// failures with randomized days/windows and a randomized repair
-  /// reaction. Pure function of (seed, params) — same seed, same spec,
-  /// byte for byte through the DSL.
-  [[nodiscard]] static ScenarioSpec generated(std::uint64_t seed,
-                                              const TopologyParams& params = {});
+  /// reaction. Pure function of the seed — same seed, same spec, byte
+  /// for byte through the DSL.
+  [[nodiscard]] static ScenarioSpec generated(std::uint64_t seed);
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };

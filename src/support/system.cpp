@@ -16,7 +16,6 @@ SupportSystem::SupportSystem(SupportConfig config)
     : config_(config),
       resources_(ResourceLedger::icares_default(config.crew_size)),
       uplink_(config.earth_delay),
-      downlink_(config.earth_delay),
       changes_(all_voters(config.crew_size)),
       adapter_(icares_ability_profiles()) {
   detectors_.push_back(std::make_unique<DehydrationDetector>());

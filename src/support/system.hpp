@@ -49,7 +49,6 @@ class SupportSystem {
   // --- sub-systems ----------------------------------------------------------
   [[nodiscard]] ResourceLedger& resources() { return resources_; }
   [[nodiscard]] DelayedChannel<Command>& uplink() { return uplink_; }     // Earth -> habitat
-  [[nodiscard]] DelayedChannel<std::string>& downlink() { return downlink_; }  // habitat -> Earth
   [[nodiscard]] ConflictMonitor& conflicts() { return conflicts_; }
   [[nodiscard]] ChangeAuthority& changes() { return changes_; }
   [[nodiscard]] InterfaceAdapter& interface_adapter() { return adapter_; }
@@ -90,7 +89,6 @@ class SupportSystem {
   std::vector<std::unique_ptr<AnomalyDetector>> detectors_;
   ResourceLedger resources_;
   DelayedChannel<Command> uplink_;
-  DelayedChannel<std::string> downlink_;
   ConflictMonitor conflicts_;
   ChangeAuthority changes_;
   InterfaceAdapter adapter_;
