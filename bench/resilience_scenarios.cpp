@@ -28,14 +28,8 @@ namespace {
 
 using namespace hs;
 
-std::string clock_str(SimTime t) {
-  if (t < 0) return "-";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%dd%02lld:%02lld", mission_day(t),
-                static_cast<long long>((t % kDay) / kHour),
-                static_cast<long long>((t % kHour) / kMinute));
-  return buf;
-}
+/// A fault's activation or clear time in the DSL's `NdHH:MM`, `-` if unset.
+std::string clock_str(SimTime t) { return t < 0 ? "-" : faults::dsl::format_time(t); }
 
 std::string target_str(const faults::FaultSpec& spec) {
   char buf[48];

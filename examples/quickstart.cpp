@@ -69,13 +69,13 @@ int main() {
 
   // 6. The observability dump: every metric the mission and pipeline
   //    touched, as one deterministic CSV (byte-identical per seed; see
-  //    docs/OBSERVABILITY.md). Headline counters below; the full report
-  //    is runner.report().metrics_csv.
-  const core::MissionReport report = runner.report();
+  //    docs/OBSERVABILITY.md). Headline counters below; the full dump
+  //    is runner.metrics().snapshot().to_csv().
+  const obs::MetricsSnapshot metrics = runner.metrics().snapshot();
   std::printf("\nMission metrics (%zu registered):\n", runner.metrics().size());
   for (const char* name : {"sim.events_fired", "badge.sd_records_written",
                            "pipeline.records_attributed", "mission.days_run"}) {
-    if (const auto* e = report.metrics.find(name)) {
+    if (const auto* e = metrics.find(name)) {
       std::printf("  %-28s %llu\n", name,
                   static_cast<unsigned long long>(e->kind == 'g' ? e->value : e->count));
     }

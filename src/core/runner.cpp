@@ -144,12 +144,6 @@ Dataset MissionRunner::run_days(int last_day) {
   return ds;
 }
 
-MissionReport MissionRunner::report() const {
-  const obs::MetricsSnapshot snap = obs_.snapshot();
-  std::string csv = snap.to_csv();
-  return MissionReport{snap, std::move(csv), recorder_.to_csv(), tracer_.to_csv()};
-}
-
 Dataset run_icares_mission(std::uint64_t seed) {
   MissionConfig config;
   config.seed = seed;

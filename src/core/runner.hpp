@@ -53,19 +53,6 @@ struct MissionConfig {
   std::uint32_t trace_keep_millionths = 1'000'000;
 };
 
-/// End-of-run observability bundle: every registered metric plus the
-/// flight recorder's event log, both as deterministic text. For one
-/// (seed, fault plan) the metrics CSV is byte-identical across thread
-/// counts and repeated runs — the determinism tests diff it directly.
-struct MissionReport {
-  obs::MetricsSnapshot metrics;
-  std::string metrics_csv;
-  std::string flight_log_csv;
-  /// Causal trace dump (obs::Tracer::to_csv). Same determinism contract
-  /// as metrics_csv.
-  std::string trace_csv;
-};
-
 /// Live view handed to per-tick observers (support system, examples).
 struct MissionView {
   SimTime now = 0;
@@ -115,9 +102,6 @@ class MissionRunner {
   /// serial post-barrier folds (docs/TRACING.md).
   [[nodiscard]] obs::Tracer& tracer() { return tracer_; }
   [[nodiscard]] const obs::Tracer& tracer() const { return tracer_; }
-  /// Snapshot + flight log, exported. Valid at any point; callers usually
-  /// take it after run()/run_days().
-  [[nodiscard]] MissionReport report() const;
 
  private:
   MissionConfig config_;

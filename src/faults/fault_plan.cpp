@@ -216,9 +216,9 @@ Expected<FaultPlan> FaultPlan::parse(const std::string& text) {
     std::string head;
     if (!(tokens >> head) || head[0] == '#') continue;
     if (head == "plan") {
-      std::string name;
-      tokens >> name;
-      plan.name_ = name;
+      std::string extra;
+      if (!(tokens >> plan.name_)) return fail("plan needs a name");
+      if (tokens >> extra) return fail("trailing tokens after 'plan " + plan.name_ + "'");
       continue;
     }
     FaultSpec spec;
@@ -239,10 +239,13 @@ Expected<FaultPlan> FaultPlan::parse(const std::string& text) {
       const std::string key = kv.substr(0, eq);
       const std::string value = kv.substr(eq + 1);
       const auto bad_number = [&] { return fail("bad " + key + " '" + value + "'"); };
-      if (key == "badge") {
-        if (!parse_number(value, spec.badge)) return bad_number();
-      } else if (key == "beacon") {
-        if (!parse_number(value, spec.beacon)) return bad_number();
+      if (key == "badge" || key == "beacon") {
+        // The injector addresses devices by 8-bit id (io::BadgeId,
+        // io::BeaconId): a wider value would wrap onto another device.
+        int id = 0;
+        if (!parse_number(value, id)) return bad_number();
+        if (id < 0 || id > 255) return fail(key + " " + value + " out of [0, 255]");
+        (key == "badge" ? spec.badge : spec.beacon) = id;
       } else if (key == "at") {
         if (!parse_time(value, spec.start)) return fail("bad time '" + value + "'");
       } else if (key == "for") {

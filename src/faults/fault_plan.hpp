@@ -91,9 +91,11 @@ class FaultPlan {
   [[nodiscard]] std::string to_string() const;
 
   /// Parse the DSL. Lines: `plan <name>`, `#` comments, blank lines, and
-  /// one fault per line: `<kind> key=value ...` with keys badge=, beacon=,
-  /// at=<day>d<hh>:<mm>, for=<n><h|m|s>, db=, ms=, frac=, band=<ble|subghz>,
-  /// day=, a=, b=. Unknown kinds or malformed values are errors.
+  /// one fault per line: `<kind> key=value ...` with keys badge=, beacon=
+  /// (device ids in [0, 255]), at=<day>d<hh>:<mm>, for=<n><h|m|s>, db=,
+  /// ms=, frac=, band=<ble|subghz>, day=, a=, b=. Unknown kinds, malformed
+  /// or out-of-range values and a plan line without exactly one name are
+  /// errors naming their line.
   [[nodiscard]] static Expected<FaultPlan> parse(const std::string& text);
 
   // --- preset scenarios (the resilience bench runs all of these) ----------
@@ -125,10 +127,10 @@ class FaultPlan {
   std::vector<FaultSpec> faults_;
 };
 
-/// The DSL's value syntax, shared with the scenario and campaign DSLs so
-/// they all read and print times, durations, numbers and id lists the
-/// same way. Parses are strict: the whole token must match, and a value
-/// out of range is rejected, never wrapped.
+/// The DSL's value syntax, shared with the campaign DSL so both read and
+/// print times, durations, numbers and id lists the same way. Parses are
+/// strict: the whole token must match, and a value out of range is
+/// rejected, never wrapped.
 namespace dsl {
 
 /// "3d07:30" — 1-based mission day plus habitat wall-clock time.

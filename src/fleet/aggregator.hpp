@@ -63,8 +63,8 @@ struct HabitatSummary {
   /// Seconds between a badge's consecutive offloads, per badge in badge-id
   /// order. Gaps stretch when nodes die or partitions form.
   std::vector<double> offload_gaps_s;
-  /// The habitat's full metrics snapshot (MissionReport::metrics), rolled
-  /// up fleet-wide via MetricsSnapshot::accumulate.
+  /// The habitat's full metrics snapshot, rolled up fleet-wide via
+  /// MetricsSnapshot::accumulate.
   obs::MetricsSnapshot metrics;
 };
 

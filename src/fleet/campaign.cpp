@@ -1,7 +1,9 @@
 #include "fleet/campaign.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "scenario/scenario.hpp"
 #include "util/strings.hpp"
@@ -12,29 +14,29 @@ namespace {
 using faults::dsl::format_int_list;
 using faults::dsl::parse_int_list;
 
-/// Known fault-preset names, in the order to_string() documents them.
-constexpr const char* kPresetNames[] = {
-    "none",
-    "day9-badge-swap",
-    "battery-stress",
-    "storage-stress",
-    "infrastructure-stress",
-    "clock-anomalies",
-    "mesh-partition",
-    "combined",
+/// Every fault-preset name with the plan it denotes: fault_preset()
+/// resolves through this table and validate() reads it.
+struct FaultPreset {
+  std::string_view name;
+  faults::FaultPlan (*build)(std::uint64_t seed);
 };
 
-bool known_preset(const std::string& name) {
-  return std::any_of(std::begin(kPresetNames), std::end(kPresetNames),
-                     [&](const char* p) { return name == p; });
-}
+constexpr FaultPreset kFaultPresets[] = {
+    {"none", [](std::uint64_t) { return faults::FaultPlan{}; }},
+    {"day9-badge-swap", [](std::uint64_t) { return faults::FaultPlan::day9_badge_swap(); }},
+    {"battery-stress", [](std::uint64_t) { return faults::FaultPlan::battery_stress(); }},
+    {"storage-stress", [](std::uint64_t) { return faults::FaultPlan::storage_stress(); }},
+    {"infrastructure-stress",
+     [](std::uint64_t) { return faults::FaultPlan::infrastructure_stress(); }},
+    {"clock-anomalies", [](std::uint64_t) { return faults::FaultPlan::clock_anomalies(); }},
+    {"mesh-partition", [](std::uint64_t) { return faults::FaultPlan::mesh_partition(); }},
+    {"combined", &faults::FaultPlan::combined},
+};
 
-/// Known cascade-scenario names (scenario::scenario_preset resolves them).
-constexpr const char* kCascadeNames[] = {"none", "power-storm", "generated"};
-
-bool known_cascade(const std::string& name) {
-  return std::any_of(std::begin(kCascadeNames), std::end(kCascadeNames),
-                     [&](const char* p) { return name == p; });
+const FaultPreset* find_fault_preset(std::string_view name) {
+  const auto it = std::find_if(std::begin(kFaultPresets), std::end(kFaultPresets),
+                               [name](const FaultPreset& p) { return p.name == name; });
+  return it == std::end(kFaultPresets) ? nullptr : &*it;
 }
 
 Error parse_error(std::size_t line, const std::string& what) {
@@ -85,10 +87,14 @@ Status CampaignSpec::validate() const {
   }
   if (replication < 1) return Error{"campaign: replication must be >= 1"};
   for (const auto& f : faults) {
-    if (!known_preset(f)) return Error{"campaign: unknown fault preset '" + f + "'"};
+    if (find_fault_preset(f) == nullptr) {
+      return Error{"campaign: unknown fault preset '" + f + "'"};
+    }
   }
   for (const auto& c : cascade) {
-    if (!known_cascade(c)) return Error{"campaign: unknown cascade scenario '" + c + "'"};
+    if (!scenario::is_scenario_preset(c)) {
+      return Error{"campaign: unknown cascade scenario '" + c + "'"};
+    }
   }
   return Status::success();
 }
@@ -206,15 +212,9 @@ std::uint64_t habitat_seed(std::uint64_t base, std::size_t index) {
 }
 
 Expected<faults::FaultPlan> fault_preset(const std::string& name, std::uint64_t seed) {
-  if (name == "none") return faults::FaultPlan{};
-  if (name == "day9-badge-swap") return faults::FaultPlan::day9_badge_swap();
-  if (name == "battery-stress") return faults::FaultPlan::battery_stress();
-  if (name == "storage-stress") return faults::FaultPlan::storage_stress();
-  if (name == "infrastructure-stress") return faults::FaultPlan::infrastructure_stress();
-  if (name == "clock-anomalies") return faults::FaultPlan::clock_anomalies();
-  if (name == "mesh-partition") return faults::FaultPlan::mesh_partition();
-  if (name == "combined") return faults::FaultPlan::combined(seed);
-  return Error{"unknown fault preset '" + name + "'"};
+  const FaultPreset* preset = find_fault_preset(name);
+  if (preset == nullptr) return Error{"unknown fault preset '" + name + "'"};
+  return preset->build(seed);
 }
 
 core::MissionConfig make_mission_config(const HabitatSpec& spec) {

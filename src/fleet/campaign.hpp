@@ -63,7 +63,8 @@ struct CampaignSpec {
   /// Structural validity (used by parse() and expand() callers): at least
   /// one habitat, non-empty axes, crew in {5,6}, beacons in [1,27],
   /// days >= 1, replication >= 1, trace_sample in [0, 100], every fault
-  /// preset name known.
+  /// and cascade preset name known (checked by name: no plan or scenario
+  /// is built).
   [[nodiscard]] Status validate() const;
 
   /// Unroll into one HabitatSpec per habitat. The spec must validate.

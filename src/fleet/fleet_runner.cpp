@@ -144,7 +144,7 @@ HabitatSummary run_habitat(const HabitatSpec& spec, const CampaignOptions& optio
     summary.records_analyzed =
         counter_value(runner.metrics().snapshot(), "pipeline.records_attributed");
   }
-  summary.metrics = runner.report().metrics;
+  summary.metrics = runner.metrics().snapshot();
   summary.records_written = counter_value(summary.metrics, "badge.sd_records_written");
   if (const mesh::MeshNetwork* mesh = runner.mesh()) {
     collect_trace_stats(*mesh, options.stale_after, summary);

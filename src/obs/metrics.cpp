@@ -3,35 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <sstream>
-
-#include "util/strings.hpp"
 
 namespace hs::obs {
-namespace {
-
-/// Split a `;`-joined list (the histogram bounds/buckets CSV columns).
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (from <= s.size()) {
-    const std::size_t at = s.find(sep, from);
-    if (at == std::string::npos) {
-      out.push_back(s.substr(from));
-      break;
-    }
-    out.push_back(s.substr(from, at - from));
-    from = at + 1;
-  }
-  return out;
-}
-
-Error parse_error(std::size_t line, const std::string& what) {
-  return Error{"metrics csv line " + std::to_string(line) + ": " + what};
-}
-
-}  // namespace
 
 std::string format_double(double v) {
   char buf[40];
@@ -56,20 +29,6 @@ void Histogram::observe(double v) {
   count_ += 1;
   sum_ += v;
 }
-
-namespace {
-
-/// The whole field must be consumed, so "12x" fails instead of becoming
-/// 12. Unlike hs::parse_number this takes "nan" and "inf", which
-/// format_double prints for non-finite gauges and sums.
-bool parse_f64(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-}  // namespace
 
 const SnapshotEntry* MetricsSnapshot::find(std::string_view name) const {
   for (const auto& e : entries) {
@@ -101,49 +60,6 @@ std::string MetricsSnapshot::to_csv() const {
     out += '\n';
   }
   return out;
-}
-
-Expected<MetricsSnapshot> MetricsSnapshot::from_csv(const std::string& text) {
-  MetricsSnapshot snap;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (lineno == 1 && line.rfind("kind,", 0) == 0) continue;  // header
-    const auto cols = split(line, ',');
-    if (cols.size() != 6) return parse_error(lineno, "expected 6 columns");
-    if (cols[0].size() != 1 ||
-        (cols[0][0] != 'c' && cols[0][0] != 'g' && cols[0][0] != 'h')) {
-      return parse_error(lineno, "unknown kind '" + cols[0] + "'");
-    }
-    SnapshotEntry e;
-    e.kind = cols[0][0];
-    e.name = cols[1];
-    if (e.name.empty()) return parse_error(lineno, "empty metric name");
-    if (!parse_number(cols[2], e.count)) return parse_error(lineno, "bad count '" + cols[2] + "'");
-    if (!parse_f64(cols[3], e.value)) return parse_error(lineno, "bad value '" + cols[3] + "'");
-    if (!cols[4].empty()) {
-      for (const auto& b : split(cols[4], ';')) {
-        double bound = 0.0;
-        if (!parse_f64(b, bound)) return parse_error(lineno, "bad bound '" + b + "'");
-        e.bounds.push_back(bound);
-      }
-    }
-    if (!cols[5].empty()) {
-      for (const auto& b : split(cols[5], ';')) {
-        std::uint64_t bucket = 0;
-        if (!parse_number(b, bucket)) return parse_error(lineno, "bad bucket '" + b + "'");
-        e.buckets.push_back(bucket);
-      }
-    }
-    if (e.kind == 'h' && e.buckets.size() != e.bounds.size() + 1) {
-      return parse_error(lineno, "histogram bucket/bound count mismatch");
-    }
-    snap.entries.push_back(std::move(e));
-  }
-  return snap;
 }
 
 Status MetricsSnapshot::accumulate(const MetricsSnapshot& other) {

@@ -93,20 +93,19 @@ struct SnapshotEntry {
 /// A point-in-time export of every registered metric, sorted by name, so
 /// two snapshots of equal registries serialize byte-identically. Doubles
 /// print as shortest-round-trip (%.17g after an exactness check), so the
-/// CSV round-trips through from_csv() without loss.
+/// CSV loses no bits.
 struct MetricsSnapshot {
   std::vector<SnapshotEntry> entries;
 
   [[nodiscard]] const SnapshotEntry* find(std::string_view name) const;
   [[nodiscard]] std::string to_csv() const;
-  [[nodiscard]] static Expected<MetricsSnapshot> from_csv(const std::string& text);
 
   /// Fold `other` into this snapshot (the fleet roll-up): counters and
   /// histogram counts/sums/buckets add, gauges add (fleet totals — divide
   /// by habitat count for means), and names present in only one side are
   /// kept/inserted. Errors (and leaves *this untouched) when a shared
   /// name disagrees on kind or histogram bounds. Both snapshots must be
-  /// name-sorted, as Registry::snapshot() and from_csv() produce; the
+  /// name-sorted, as Registry::snapshot() produces; the
   /// result stays sorted, so rolled-up dumps keep the byte-stability
   /// contract.
   [[nodiscard]] Status accumulate(const MetricsSnapshot& other);

@@ -406,12 +406,6 @@ Expected<TraceDump> Tracer::parse_dump(const std::string& text) {
   return dump;
 }
 
-Expected<std::vector<TraceSpan>> Tracer::from_csv(const std::string& text) {
-  auto dump = parse_dump(text);
-  if (!dump.has_value()) return dump.error();
-  return std::move(dump->spans);
-}
-
 std::string spans_to_chrome_json(const std::vector<TraceSpan>& spans) {
   std::string out = "{\"traceEvents\":[";
   // One Perfetto process row per subsystem, named up front.
@@ -459,7 +453,5 @@ std::string spans_to_chrome_json(const std::vector<TraceSpan>& spans) {
   out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
-
-std::string Tracer::to_chrome_json() const { return spans_to_chrome_json(spans_); }
 
 }  // namespace hs::obs

@@ -267,14 +267,6 @@ class Tracer {
   /// Metadata lines are optional (pre-sampling dumps parse fine) but when
   /// present must be well-formed and precede every span row.
   static Expected<TraceDump> parse_dump(const std::string& text);
-  /// parse_dump() minus the metadata — kept for callers that only want
-  /// the span list.
-  static Expected<std::vector<TraceSpan>> from_csv(const std::string& text);
-  /// Chrome trace-event JSON ("traceEvents" of ph:"X" complete events in
-  /// sim-µs, one process row per subsystem) — loadable in Perfetto and
-  /// chrome://tracing. Same export for a parsed dump via the free
-  /// function below.
-  [[nodiscard]] std::string to_chrome_json() const;
 
  private:
   static std::size_t kind_index(SpanKind kind) { return static_cast<std::size_t>(kind) - 1; }
@@ -302,8 +294,10 @@ class Tracer {
   std::array<Counter*, kKindCount> kind_counters_{};  ///< lazy per-kind drop counters
 };
 
-/// Chrome trace-event JSON for an already-parsed dump (what hs_trace's
-/// --export-perfetto uses on a CSV input).
+/// Chrome trace-event JSON ("traceEvents" of ph:"X" complete events in
+/// sim-µs, one process row per subsystem), loadable in Perfetto and
+/// chrome://tracing: what hs_trace's --export-perfetto writes, for live
+/// spans (Tracer::spans()) and parsed dumps alike.
 [[nodiscard]] std::string spans_to_chrome_json(const std::vector<TraceSpan>& spans);
 
 }  // namespace hs::obs

@@ -1,7 +1,7 @@
 // Query layer over a trace dump: the questions the crew actually asks.
 //
 // TraceIndex consumes a span list (live from a Tracer, or parsed back out
-// of a CSV dump with Tracer::from_csv) and answers the three canonical
+// of a CSV dump with Tracer::parse_dump) and answers the three canonical
 // causal queries the hs_trace CLI exposes: follow one chunk end-to-end
 // (badge slice -> offload -> replicas -> ack -> read-view), reconstruct
 // the critical path of one alert (sensor record -> evidence -> raise ->

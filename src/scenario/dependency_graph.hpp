@@ -6,10 +6,10 @@
 // localization quality degrades. A DependencyGraph declares that
 // structure as data: components (each bound to the devices it owns) and
 // directed supply edges carrying a propagation delay and probability.
-// Graphs are written in a small line-based DSL (scenario.hpp) or
-// generated from a seed (generate_topology), and the CascadeEngine
-// (cascade.hpp) walks them deterministically. docs/RESILIENCE.md has the
-// DSL reference and propagation semantics.
+// Graphs are built in code (the presets in scenario.hpp) or generated
+// from a seed (generate_topology), and the CascadeEngine (cascade.hpp)
+// walks them deterministically. docs/RESILIENCE.md has the propagation
+// semantics.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ enum class ComponentKind : std::uint8_t {
 };
 constexpr std::size_t kComponentKindCount = 5;
 
-/// Canonical kebab-case name ("power-bus", ...), used by the DSL.
+/// Canonical kebab-case name ("power-bus", ...).
 const char* component_kind_name(ComponentKind kind);
 
 /// One habitat module. The device bindings (beacons/badge/band) say which

@@ -1,29 +1,36 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <iterator>
 
-#include "faults/fault_plan.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace hs::scenario {
 namespace {
 
-// Times, durations, numbers and id lists use the fault DSL's syntax.
-using faults::dsl::format_duration;
-using faults::dsl::format_int_list;
-using faults::dsl::format_number;
-using faults::dsl::format_time;
-using faults::dsl::parse_duration;
-using faults::dsl::parse_int_list;
-using faults::dsl::parse_time;
-
-constexpr ComponentKind kAllComponentKinds[] = {
-    ComponentKind::kPowerBus,     ComponentKind::kBeaconCluster, ComponentKind::kMeshNode,
-    ComponentKind::kBadgeCharger, ComponentKind::kLocalization,
+/// Every cascade-preset name with the spec it denotes: scenario_preset()
+/// resolves through this table and is_scenario_preset() reads it.
+struct ScenarioPreset {
+  std::string_view name;
+  ScenarioSpec (*build)(std::uint64_t seed);
 };
-static_assert(std::size(kAllComponentKinds) == kComponentKindCount);
+
+constexpr ScenarioPreset kScenarioPresets[] = {
+    {"none",
+     [](std::uint64_t) {
+       ScenarioSpec spec;
+       spec.name = "none";
+       return spec;
+     }},
+    {"power-storm", [](std::uint64_t) { return ScenarioSpec::power_bus_storm(); }},
+    {"generated", &ScenarioSpec::generated},
+};
+
+const ScenarioPreset* find_preset(std::string_view name) {
+  const auto it = std::find_if(std::begin(kScenarioPresets), std::end(kScenarioPresets),
+                               [name](const ScenarioPreset& p) { return p.name == name; });
+  return it == std::end(kScenarioPresets) ? nullptr : &*it;
+}
 
 }  // namespace
 
@@ -34,202 +41,17 @@ Status ScenarioSpec::validate() const {
       return Error{"scenario: root failure names unknown component '" + root.component + "'"};
     }
     if (root.window <= 0) {
-      return Error{"scenario: root failure on '" + root.component + "' needs for=<dur> > 0"};
+      return Error{"scenario: root failure on '" + root.component + "' needs a positive window"};
     }
   }
   if (repair.enabled) {
-    if (repair.crew.empty()) return Error{"scenario: repair needs crew=<astronaut ids>"};
+    if (repair.crew.empty()) return Error{"scenario: repair needs a crew"};
     for (const std::size_t a : repair.crew) {
       if (a >= 6) return Error{"scenario: repair crew index " + std::to_string(a) + " out of [0, 5]"};
     }
     if (repair.reaction < 0) return Error{"scenario: repair reaction must be >= 0"};
   }
   return Status::success();
-}
-
-std::string ScenarioSpec::to_string() const {
-  std::ostringstream out;
-  if (!name.empty()) out << "scenario " << name << "\n";
-  for (const auto& c : graph.components()) {
-    out << "component " << c.name << " kind=" << component_kind_name(c.kind);
-    if (!c.beacons.empty()) out << " beacons=" << format_int_list(c.beacons);
-    if (c.badge >= 0) out << " badge=" << c.badge;
-    if (c.kind == ComponentKind::kLocalization) {
-      out << " band=" << (c.band == io::Band::kBle24 ? "ble" : "subghz")
-          << " db=" << format_number(c.db);
-    }
-    if (c.power_kwh_day > 0.0) out << " power=" << format_number(c.power_kwh_day);
-    if (c.o2_kg_day > 0.0) out << " o2=" << format_number(c.o2_kg_day);
-    out << " repair=" << format_duration(c.repair) << "\n";
-  }
-  for (const auto& e : graph.edges()) {
-    out << "edge " << graph.components()[e.from].name << "->" << graph.components()[e.to].name
-        << " delay=" << format_duration(e.delay) << " p=" << format_number(e.probability)
-        << "\n";
-  }
-  for (const auto& r : roots) {
-    out << "fail " << r.component << " at=" << format_time(r.at)
-        << " for=" << format_duration(r.window) << "\n";
-  }
-  if (repair.enabled) {
-    std::vector<int> crew;
-    crew.reserve(repair.crew.size());
-    for (const std::size_t a : repair.crew) crew.push_back(static_cast<int>(a));
-    out << "repair crew=" << format_int_list(crew)
-        << " react=" << format_duration(repair.reaction) << "\n";
-  }
-  return out.str();
-}
-
-Expected<ScenarioSpec> ScenarioSpec::parse(const std::string& text) {
-  ScenarioSpec spec;
-  std::istringstream lines(text);
-  std::string line;
-  int line_no = 0;
-  const auto fail = [&](const std::string& why) {
-    return Error{"scenario: line " + std::to_string(line_no) + ": " + why};
-  };
-  while (std::getline(lines, line)) {
-    ++line_no;
-    std::istringstream tokens(line);
-    std::string head;
-    if (!(tokens >> head) || head[0] == '#') continue;
-    if (head == "scenario") {
-      tokens >> spec.name;
-      continue;
-    }
-    if (head == "component") {
-      Component c;
-      if (!(tokens >> c.name)) return fail("component needs a name");
-      bool kinded = false;
-      std::string kv;
-      while (tokens >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
-        const auto bad_number = [&] { return fail("bad " + key + " '" + value + "'"); };
-        if (key == "kind") {
-          for (const ComponentKind k : kAllComponentKinds) {
-            if (value == component_kind_name(k)) {
-              c.kind = k;
-              kinded = true;
-              break;
-            }
-          }
-          if (!kinded) return fail("unknown component kind '" + value + "'");
-        } else if (key == "beacons") {
-          if (!parse_int_list(value, c.beacons)) return fail("bad beacon list '" + value + "'");
-        } else if (key == "badge") {
-          if (!parse_number(value, c.badge)) return bad_number();
-        } else if (key == "band") {
-          if (value == "ble") {
-            c.band = io::Band::kBle24;
-          } else if (value == "subghz") {
-            c.band = io::Band::kSubGhz868;
-          } else {
-            return fail("bad band '" + value + "'");
-          }
-        } else if (key == "db") {
-          if (!parse_number(value, c.db)) return bad_number();
-        } else if (key == "power") {
-          if (!parse_number(value, c.power_kwh_day)) return bad_number();
-        } else if (key == "o2") {
-          if (!parse_number(value, c.o2_kg_day)) return bad_number();
-        } else if (key == "repair") {
-          if (!parse_duration(value, c.repair)) return fail("bad duration '" + value + "'");
-        } else {
-          return fail("unknown key '" + key + "'");
-        }
-      }
-      if (!kinded) return fail("component '" + c.name + "' needs kind=<kind>");
-      if (auto ok = spec.graph.add_component(std::move(c)); !ok.ok()) {
-        return fail(ok.error().message);
-      }
-      continue;
-    }
-    if (head == "edge") {
-      std::string pair;
-      if (!(tokens >> pair)) return fail("edge needs <from>-><to>");
-      const auto arrow = pair.find("->");
-      if (arrow == std::string::npos || arrow == 0 || arrow + 2 >= pair.size()) {
-        return fail("edge wants <from>-><to>, got '" + pair + "'");
-      }
-      const std::string from = pair.substr(0, arrow);
-      const std::string to = pair.substr(arrow + 2);
-      SimDuration delay = 0;
-      double probability = -1.0;
-      std::string kv;
-      while (tokens >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
-        if (key == "delay") {
-          if (!parse_duration(value, delay)) return fail("bad duration '" + value + "'");
-        } else if (key == "p") {
-          if (!parse_number(value, probability)) return fail("bad p '" + value + "'");
-        } else {
-          return fail("unknown key '" + key + "'");
-        }
-      }
-      if (delay <= 0) return fail("edge needs delay=<dur> > 0");
-      if (probability < 0.0 || probability > 1.0) return fail("edge needs p=<x> in [0, 1]");
-      if (auto ok = spec.graph.add_edge(from, to, delay, probability); !ok.ok()) {
-        return fail(ok.error().message);
-      }
-      continue;
-    }
-    if (head == "fail") {
-      RootDecl root;
-      if (!(tokens >> root.component)) return fail("fail needs a component name");
-      bool timed = false;
-      std::string kv;
-      while (tokens >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
-        if (key == "at") {
-          if (!parse_time(value, root.at)) return fail("bad time '" + value + "'");
-          timed = true;
-        } else if (key == "for") {
-          if (!parse_duration(value, root.window)) return fail("bad duration '" + value + "'");
-        } else {
-          return fail("unknown key '" + key + "'");
-        }
-      }
-      if (!timed) return fail("fail needs at=<day>d<hh>:<mm>");
-      spec.roots.push_back(std::move(root));
-      continue;
-    }
-    if (head == "repair") {
-      spec.repair.enabled = true;
-      std::string kv;
-      while (tokens >> kv) {
-        const auto eq = kv.find('=');
-        if (eq == std::string::npos) return fail("expected key=value, got '" + kv + "'");
-        const std::string key = kv.substr(0, eq);
-        const std::string value = kv.substr(eq + 1);
-        if (key == "crew") {
-          std::vector<int> ids;
-          if (!parse_int_list(value, ids)) return fail("bad crew list '" + value + "'");
-          spec.repair.crew.clear();
-          for (const int id : ids) spec.repair.crew.push_back(static_cast<std::size_t>(id));
-        } else if (key == "react") {
-          if (!parse_duration(value, spec.repair.reaction)) {
-            return fail("bad duration '" + value + "'");
-          }
-        } else {
-          return fail("unknown key '" + key + "'");
-        }
-      }
-      continue;
-    }
-    return fail("unknown directive '" + head + "'");
-  }
-  if (auto ok = spec.validate(); !ok.ok()) return ok.error();
-  return spec;
 }
 
 ScenarioSpec ScenarioSpec::power_bus_storm() {
@@ -376,14 +198,11 @@ Expected<ExpandedScenario> expand_scenario(const ScenarioSpec& spec, std::uint64
 }
 
 Expected<ScenarioSpec> scenario_preset(const std::string& name, std::uint64_t seed) {
-  if (name == "none") {
-    ScenarioSpec spec;
-    spec.name = "none";
-    return spec;
-  }
-  if (name == "power-storm") return ScenarioSpec::power_bus_storm();
-  if (name == "generated") return ScenarioSpec::generated(seed);
-  return Error{"unknown cascade scenario '" + name + "'"};
+  const ScenarioPreset* preset = find_preset(name);
+  if (preset == nullptr) return Error{"unknown cascade scenario '" + name + "'"};
+  return preset->build(seed);
 }
+
+bool is_scenario_preset(std::string_view name) { return find_preset(name) != nullptr; }
 
 }  // namespace hs::scenario

@@ -2,18 +2,19 @@
 //
 // A ScenarioSpec bundles everything a cascade needs — the component
 // DependencyGraph, the scripted root failures and the repair policy —
-// into one value with a line-based text DSL (like faults::FaultPlan and
-// fleet::CampaignSpec), so scenarios can be stored, diffed, replayed and
-// generated. expand_scenario() turns a spec into the mission-ready form:
-// the expanded fault plan (append to MissionConfig::fault_plan), the
-// activation record, and the per-day ResourceCoupling drains that make
-// cascades bite the support::ResourceLedger. docs/RESILIENCE.md has the
-// DSL reference.
+// into one value. Specs are built in code: the power_bus_storm() and
+// generated(seed) presets, which campaigns name through
+// scenario_preset(). expand_scenario() turns a spec into the
+// mission-ready form: the expanded fault plan (append to
+// MissionConfig::fault_plan), the activation record, and the per-day
+// ResourceCoupling drains that make cascades bite the
+// support::ResourceLedger. docs/RESILIENCE.md describes the presets.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/cascade.hpp"
@@ -44,17 +45,6 @@ struct ScenarioSpec {
   /// component with a positive window, repair crew non-empty if enabled.
   [[nodiscard]] Status validate() const;
 
-  /// Serialize to the line-based DSL (round-trips through parse()).
-  [[nodiscard]] std::string to_string() const;
-
-  /// Parse the DSL. Lines: `scenario <name>`, `component <name>
-  /// kind=<kind> [beacons=a,b] [badge=n] [band=ble|subghz] [db=x]
-  /// [power=kWh/day] [o2=kg/day] [repair=<dur>]`, `edge <from>-><to>
-  /// delay=<dur> p=<x>`, `fail <component> at=<day>d<hh>:<mm>
-  /// for=<dur>`, `repair crew=<list> react=<dur>`, `#` comments and
-  /// blank lines. Malformed lines error with their line number.
-  [[nodiscard]] static Expected<ScenarioSpec> parse(const std::string& text);
-
   // --- presets --------------------------------------------------------------
   /// The "power-bus storm": one main bus feeding two beacon clusters, a
   /// mesh relay, a badge charger and localization quality, failing every
@@ -64,8 +54,8 @@ struct ScenarioSpec {
 
   /// A seeded scenario over generate_topology(seed): per-bus root
   /// failures with randomized days/windows and a randomized repair
-  /// reaction. Pure function of the seed — same seed, same spec, byte
-  /// for byte through the DSL.
+  /// reaction. Pure function of the seed: the same seed gives equal
+  /// specs.
   [[nodiscard]] static ScenarioSpec generated(std::uint64_t seed);
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
@@ -108,5 +98,9 @@ struct ExpandedScenario {
 /// unknown names.
 [[nodiscard]] Expected<ScenarioSpec> scenario_preset(const std::string& name,
                                                      std::uint64_t seed);
+
+/// True when scenario_preset() resolves `name`. Reads the same preset
+/// table and builds no spec.
+[[nodiscard]] bool is_scenario_preset(std::string_view name);
 
 }  // namespace hs::scenario

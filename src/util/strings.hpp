@@ -30,8 +30,8 @@ std::string pad_left(const std::string& s, std::size_t width);
 /// Strict whole-token decimal parse (std::from_chars): `text` must be
 /// exactly one number in range of the target type — no whitespace, no
 /// trailing junk, no sign on an unsigned, and a finite double. On failure
-/// returns false and leaves `out` untouched. The fault-plan, scenario and
-/// campaign DSLs read every numeric field through these.
+/// returns false and leaves `out` untouched. The fault-plan and campaign
+/// DSLs read every numeric field through these.
 bool parse_number(std::string_view text, int& out);
 bool parse_number(std::string_view text, std::int64_t& out);
 bool parse_number(std::string_view text, std::uint64_t& out);

@@ -15,9 +15,10 @@
 namespace hs::test {
 
 /// Everything a mission dumps as deterministic text: the metrics
-/// snapshot, the flight recorder's event log, and the causal trace.
+/// snapshot (dumped by its to_csv), the flight recorder's event log, and
+/// the causal trace.
 struct MissionDumps {
-  std::string metrics_csv;
+  obs::MetricsSnapshot metrics;
   std::string flight_log_csv;
   std::string trace_csv;
 };
@@ -40,7 +41,7 @@ inline ::testing::AssertionResult same_dump(const std::string& a, const std::str
 }
 
 inline void expect_same_dumps(const MissionDumps& a, const MissionDumps& b) {
-  EXPECT_TRUE(same_dump(a.metrics_csv, b.metrics_csv)) << "metrics";
+  EXPECT_TRUE(same_dump(a.metrics.to_csv(), b.metrics.to_csv())) << "metrics";
   EXPECT_TRUE(same_dump(a.flight_log_csv, b.flight_log_csv)) << "flight log";
   EXPECT_TRUE(same_dump(a.trace_csv, b.trace_csv)) << "trace";
 }
@@ -66,7 +67,7 @@ struct Analysis {
   /// The pipeline writes no flight-recorder events, so the flight log is
   /// the mission's: it can differ only between fresh runs.
   [[nodiscard]] MissionDumps dumps() const {
-    return MissionDumps{metrics.snapshot().to_csv(), flight_log.to_csv(), tracer.to_csv()};
+    return MissionDumps{metrics.snapshot(), flight_log.to_csv(), tracer.to_csv()};
   }
 
   obs::Registry metrics;

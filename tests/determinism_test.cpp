@@ -230,24 +230,23 @@ TEST(DeterminismTest, PlainMissionSeed42RepeatsAndIsThreadIndependent) {
   // path — no faults and no mesh means nothing is ever enqueued — so
   // only presence is required for those; the I/O and pipeline counters
   // must show traffic.)
-  const auto snap = obs::MetricsSnapshot::from_csv(dumps.metrics_csv);
-  ASSERT_TRUE(snap.has_value());
+  const obs::MetricsSnapshot& snap = dumps.metrics;
   for (const char* name : {"sim.events_fired", "badge.sd_records_written",
                            "pipeline.records_attributed", "support.alerts_raised"}) {
-    ASSERT_NE(snap->find(name), nullptr) << name;
+    ASSERT_NE(snap.find(name), nullptr) << name;
   }
-  EXPECT_GT(snap->find("badge.sd_records_written")->count, 0U);
-  EXPECT_GT(snap->find("pipeline.records_attributed")->count, 0U);
+  EXPECT_GT(snap.find("badge.sd_records_written")->count, 0U);
+  EXPECT_GT(snap.find("pipeline.records_attributed")->count, 0U);
 
   // The trace dump is real too, and survives a parse round-trip. On the
   // happy path (no faults, no mesh) the mission loop emits nothing — the
   // kernel never enqueues, badges never offload — so the guaranteed
   // spans are the pipeline's: one run root, a stage per phase, a shard
   // per unit of parallel work, all emitted serially after each barrier.
-  const auto spans = obs::Tracer::from_csv(dumps.trace_csv);
-  ASSERT_TRUE(spans.has_value()) << spans.error().message;
-  EXPECT_FALSE(spans->empty());
-  const obs::TraceIndex index(std::move(*spans));
+  auto parsed = obs::Tracer::parse_dump(dumps.trace_csv);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  EXPECT_FALSE(parsed->spans.empty());
+  const obs::TraceIndex index(std::move(parsed->spans));
   const auto summary = index.summarize();
   const auto count_of = [&summary](obs::SpanKind kind) {
     for (const auto& [k, n] : summary.by_kind) {
@@ -276,12 +275,11 @@ TEST(DeterminismTest, CombinedFaultsSeed42RepeatsAndIsThreadIndependent) {
 
   // Under a real plan the event kernel is busy (activations, recoveries)
   // and the fault counters show the whole lifecycle.
-  const auto snap = obs::MetricsSnapshot::from_csv(dumps.metrics_csv);
-  ASSERT_TRUE(snap.has_value());
-  ASSERT_NE(snap->find("sim.events_fired"), nullptr);
-  EXPECT_GT(snap->find("sim.events_fired")->count, 0U);
-  ASSERT_NE(snap->find("faults.armed"), nullptr);
-  EXPECT_GT(snap->find("faults.armed")->count, 0U);
+  const obs::MetricsSnapshot& snap = dumps.metrics;
+  ASSERT_NE(snap.find("sim.events_fired"), nullptr);
+  EXPECT_GT(snap.find("sim.events_fired")->count, 0U);
+  ASSERT_NE(snap.find("faults.armed"), nullptr);
+  EXPECT_GT(snap.find("faults.armed")->count, 0U);
 }
 
 /// A generated cascade topology (one per seed): the scenario layer

@@ -9,6 +9,8 @@
 // degradation contracts these tests pin down.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -78,6 +80,19 @@ TEST(FaultPlanDsl, RejectsMalformedNumbersWithLineNumbers) {
   expect_error("battery-death badge=1 at=2d09:00 for=1hx", "bad duration '1hx'");
   expect_error("battery-death badge=1 at=2d09:00 for=99999999999999h",
                "bad duration '99999999999999h'");
+  // Device ids are 8-bit: 257 is not badge 1, and 268 is not beacon 12.
+  expect_error("sd-write-failure badge=257 at=1d09:00 for=4h", "badge 257 out of [0, 255]");
+  expect_error("beacon-outage beacon=268 at=2d09:00 for=1h", "beacon 268 out of [0, 255]");
+  // The plan line takes exactly one name.
+  const std::pair<const char*, const char*> plan_lines[] = {
+      {"plan p extra\n", "line 1: trailing tokens"},
+      {"plan\n", "line 1: plan needs a name"},
+  };
+  for (const auto& [text, fragment] : plan_lines) {
+    const auto plan = FaultPlan::parse(text);
+    ASSERT_FALSE(plan.has_value()) << "accepted: " << text;
+    EXPECT_NE(plan.error().message.find(fragment), std::string::npos) << plan.error().message;
+  }
 }
 
 TEST(FaultPlanDsl, PartitionRoundTripsWithGroups) {

@@ -106,10 +106,11 @@ TEST(MeshDeterminism, SameSeedAndPlanYieldByteIdenticalMeshes) {
   // The observability layer sits on top of all of the above, so its dumps
   // inherit the same guarantee: metrics CSV, flight log, and the causal
   // trace — byte for byte.
-  const auto r1 = first->report();
-  const auto r2 = second->report();
-  test::expect_same_dumps({r1.metrics_csv, r1.flight_log_csv, r1.trace_csv},
-                          {r2.metrics_csv, r2.flight_log_csv, r2.trace_csv});
+  const auto dumps_of = [](const MissionRunner& runner) {
+    return test::MissionDumps{runner.metrics().snapshot(), runner.flight_recorder().to_csv(),
+                              runner.tracer().to_csv()};
+  };
+  test::expect_same_dumps(dumps_of(*first), dumps_of(*second));
 
   // The mirrored mesh.* counters must agree exactly with GossipStats —
   // same increment sites, so any split means a missed instrumentation.

@@ -1,5 +1,5 @@
-// The cascade scenario engine (ISSUE: dependency-graph fault propagation
-// with crew repair and resource coupling). Covers the graph DSL and its
+// The cascade scenario engine: dependency-graph fault propagation with
+// crew repair and resource coupling. Covers graph validation and its
 // reject paths, seeded topology generation, the purity of cascade
 // expansion, the power-bus storm acceptance behaviors — a root fault
 // producing >= 3 dependent activations and a shortage alert, and a
@@ -96,6 +96,14 @@ TEST(DependencyGraphTest, ValidateCatchesBindingAndCycleErrors) {
     ASSERT_TRUE(graph.add_edge("a", "c", minutes(5), 1.5).ok());
     EXPECT_FALSE(graph.validate().ok());
   }
+  {
+    // A root failure must name a component of the graph, and
+    // expand_scenario refuses a spec that does not validate.
+    ScenarioSpec spec = ScenarioSpec::power_bus_storm();
+    spec.roots.push_back(RootDecl{"ghost", day_start(2), hours(1)});
+    EXPECT_FALSE(spec.validate().ok());
+    EXPECT_FALSE(expand_scenario(spec, 7).has_value());
+  }
 }
 
 TEST(DependencyGraphTest, GeneratedTopologyIsSeedPure) {
@@ -112,51 +120,6 @@ TEST(DependencyGraphTest, GeneratedTopologyIsSeedPure) {
   }
   EXPECT_EQ(buses, 2u);
   EXPECT_FALSE(g7.edges().empty());
-}
-
-TEST(ScenarioDslTest, PresetsRoundTripThroughText) {
-  for (const ScenarioSpec& spec : {ScenarioSpec::power_bus_storm(), ScenarioSpec::generated(7),
-                                   ScenarioSpec::generated(42)}) {
-    const std::string text = spec.to_string();
-    const auto parsed = ScenarioSpec::parse(text);
-    ASSERT_TRUE(parsed.has_value()) << parsed.error().message << "\n" << text;
-    EXPECT_EQ(*parsed, spec);
-    EXPECT_EQ(parsed->to_string(), text);
-  }
-}
-
-TEST(ScenarioDslTest, RejectsMalformedInputWithLineNumbers) {
-  const auto expect_error = [](const std::string& text, const std::string& fragment) {
-    const auto parsed = ScenarioSpec::parse(text);
-    ASSERT_FALSE(parsed.has_value()) << "accepted:\n" << text;
-    EXPECT_NE(parsed.error().message.find(fragment), std::string::npos)
-        << "error '" << parsed.error().message << "' lacks '" << fragment << "'";
-  };
-  expect_error("scenario x\nwobble y\n", "line 2");
-  expect_error("scenario x\ncomponent a kind=warp-core repair=30m\n", "unknown component kind");
-  expect_error("scenario x\ncomponent a\n", "needs kind");
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nedge a-b delay=5m p=1\n",
-               "line 3");
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nedge a->b delay=5m p=1\n",
-               "line 3");
-  expect_error(
-      "scenario x\ncomponent a kind=power-bus repair=30m\n"
-      "component b kind=mesh-node beacons=3 repair=30m\nedge a->b delay=5m p=1.5\n",
-      "p=<x> in [0, 1]");
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nfail a for=2h\n",
-               "at=");
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nfail ghost at=1d09:00\n",
-               "scenario");  // validate(): unknown root component
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nrepair crew=1,x react=10m\n",
-               "bad crew list");
-  // Numbers parse strictly: "abc" is not probability 0.
-  expect_error(
-      "scenario x\ncomponent a kind=power-bus repair=30m\n"
-      "component b kind=mesh-node beacons=3 repair=30m\nedge a->b delay=5m p=abc\n",
-      "line 4: bad p 'abc'");
-  // Times use the fault DSL's strict parser.
-  expect_error("scenario x\ncomponent a kind=power-bus repair=30m\nfail a at=1d09:00x for=1h\n",
-               "line 3: bad time");
 }
 
 TEST(ScenarioPresetTest, ResolvesCampaignNames) {

@@ -41,9 +41,9 @@ TEST(TraceLineage, EveryAckedChunkHasExactlyKStorageSpans) {
   ASSERT_FALSE(acked.empty());
 
   // Work on the dump as an operator would: parse the CSV back.
-  const auto parsed = obs::Tracer::from_csv(runner.report().trace_csv);
+  auto parsed = obs::Tracer::parse_dump(runner.tracer().to_csv());
   ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
-  const obs::TraceIndex index(std::move(*parsed));
+  const obs::TraceIndex index(std::move(parsed->spans));
 
   // Walk the parent chain; true when `root` is an ancestor of `span`.
   const auto has_ancestor = [&index](const obs::TraceSpan* span, obs::SpanId root) {

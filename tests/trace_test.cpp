@@ -210,21 +210,22 @@ Tracer small_mission_tracer() {
 
 TEST(TraceCsvTest, RoundTripIsExact) {
   const Tracer t = small_mission_tracer();
-  const auto parsed = Tracer::from_csv(t.to_csv());
+  const auto parsed = Tracer::parse_dump(t.to_csv());
   ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
-  ASSERT_EQ(parsed->size(), t.spans().size());
-  for (std::size_t i = 0; i < parsed->size(); ++i) {
-    EXPECT_EQ((*parsed)[i], t.spans()[i]) << "span " << i;
+  const std::vector<TraceSpan>& spans = parsed->spans;
+  ASSERT_EQ(spans.size(), t.spans().size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i], t.spans()[i]) << "span " << i;
   }
   // And the Chrome export of the parsed spans equals the live export.
-  EXPECT_EQ(spans_to_chrome_json(*parsed), t.to_chrome_json());
+  EXPECT_EQ(spans_to_chrome_json(spans), spans_to_chrome_json(t.spans()));
 }
 
 TEST(TraceCsvTest, EmptyTracerStillRoundTrips) {
   const Tracer t(42);
-  const auto parsed = Tracer::from_csv(t.to_csv());
+  const auto parsed = Tracer::parse_dump(t.to_csv());
   ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
-  EXPECT_TRUE(parsed->empty());
+  EXPECT_TRUE(parsed->spans.empty());
 }
 
 TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
@@ -234,7 +235,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
   {
     std::string bad = good;
     bad[0] = 'T';
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("bad header"), std::string::npos) << r.error().message;
   }
@@ -242,7 +243,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
   {
     std::string bad = good;
     bad.pop_back();
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("newline"), std::string::npos);
   }
@@ -251,7 +252,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
   {
     const auto lines = static_cast<std::size_t>(std::count(good.begin(), good.end(), '\n'));
     const std::string bad = good + "deadbeef,1,2\n";
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("expected 11 fields"), std::string::npos);
     EXPECT_NE(r.error().message.find("line " + std::to_string(lines + 1)), std::string::npos)
@@ -263,7 +264,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
         "trace,span,parent,link,kind,subsys,start_us,end_us,a,b,c\n"
         "zzzz,0000000000000001,0000000000000000,0000000000000000,"
         "sim_event,sim,0,0,0,0,0\n";
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("bad id field"), std::string::npos);
     EXPECT_NE(r.error().message.find("line 2"), std::string::npos);
@@ -274,7 +275,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
         "trace,span,parent,link,kind,subsys,start_us,end_us,a,b,c\n"
         "0000000000000001,0000000000000002,0000000000000000,0000000000000000,"
         "warp_drive,sim,0,0,0,0,0\n";
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("unknown span kind"), std::string::npos);
   }
@@ -284,7 +285,7 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
         "trace,span,parent,link,kind,subsys,start_us,end_us,a,b,c\n"
         "0000000000000001,0000000000000002,0000000000000000,0000000000000000,"
         "sim_event,sim,later,0,0,0,0\n";
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("bad integer field"), std::string::npos);
   }
@@ -294,12 +295,12 @@ TEST(TraceCsvTest, StrictParserRejectsMalformedInput) {
         "trace,span,parent,link,kind,subsys,start_us,end_us,a,b,c\n"
         "0000000000000001,0000000000000002,0000000000000000,0000000000000000,"
         "sim_event,sim,0,0,99999999999999999999,0,0\n";
-    const auto r = Tracer::from_csv(bad);
+    const auto r = Tracer::parse_dump(bad);
     ASSERT_FALSE(r.has_value());
     EXPECT_NE(r.error().message.find("bad integer field"), std::string::npos);
   }
   // Empty input.
-  EXPECT_FALSE(Tracer::from_csv("").has_value());
+  EXPECT_FALSE(Tracer::parse_dump("").has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -585,7 +586,7 @@ std::size_t count_occurrences(const std::string& text, const std::string& needle
 
 TEST(ChromeJsonTest, ExportIsValidJsonWithTheTraceEventSchema) {
   const Tracer t = small_mission_tracer();
-  const std::string json = t.to_chrome_json();
+  const std::string json = spans_to_chrome_json(t.spans());
 
   JsonChecker checker(json);
   EXPECT_TRUE(checker.valid()) << json;

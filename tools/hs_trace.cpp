@@ -1,8 +1,8 @@
 // hs_trace: query a deterministic causal trace dump.
 //
 // Two input modes:
-//   --input trace.csv            parse a dump written earlier (report()
-//                                .trace_csv saved to disk), or
+//   --input trace.csv            parse a dump written earlier
+//                                (Tracer::to_csv saved to disk), or
 //   --scenario mesh-partition    run the canonical partitioned-mesh
 //                                mission in-process and query its trace
 //                                (the dump round-trips through CSV first,
@@ -181,7 +181,7 @@ bool run_scenario(const Options& opt, std::string& trace_csv, int& replication_f
   std::fprintf(stderr, "hs_trace: running %s, seed %llu, days 1-%d...\n", opt.scenario.c_str(),
                static_cast<unsigned long long>(opt.seed), opt.days);
   (void)runner.run_days(opt.days);
-  trace_csv = runner.report().trace_csv;
+  trace_csv = runner.tracer().to_csv();
   return true;
 }
 
